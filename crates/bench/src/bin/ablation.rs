@@ -9,7 +9,8 @@
 //! Prints `%||ops`, `%simdops` and tile depth for representative workloads
 //! under each configuration.
 
-use polyfold::{FoldOptions, FoldingSink};
+use polyfold::pipeline::{fold, PipelineConfig};
+use polyfold::FoldOptions;
 use polyprof_bench::pct;
 use polysched::Analysis;
 
@@ -23,14 +24,15 @@ fn run(prog: &polyir::Program, cfg: &Config) -> (f64, f64, usize) {
     let mut rec = polycfg::StructureRecorder::new();
     polyvm::Vm::new(prog).run(&[], &mut rec).unwrap();
     let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let sink = FoldingSink::with_options(FoldOptions {
-        split_classes: cfg.split_classes,
+    let pcfg = PipelineConfig {
+        fold_threads: 0,
+        options: FoldOptions {
+            split_classes: cfg.split_classes,
+            ..Default::default()
+        },
         ..Default::default()
-    });
-    let mut prof = polyddg::DdgProfiler::new(prog, &structure, sink);
-    polyvm::Vm::new(prog).run(&[], &mut prof).unwrap();
-    let (sink, interner) = prof.finish();
-    let mut ddg = sink.finalize(prog, &interner);
+    };
+    let (mut ddg, interner, ..) = fold(prog, &structure, &pcfg, None).unwrap();
     if cfg.remove_scevs {
         ddg.remove_scevs();
     }

@@ -20,6 +20,25 @@ pub fn smoke() -> bool {
     std::env::var_os("BENCH_SMOKE").is_some()
 }
 
+/// The commit a trajectory line describes: `GITHUB_SHA` when set, else
+/// `git rev-parse HEAD` of the repository this crate was built from, else
+/// `"unknown"`.
+pub fn git_sha() -> String {
+    if let Ok(sha) = std::env::var("GITHUB_SHA") {
+        if !sha.trim().is_empty() {
+            return sha.trim().to_string();
+        }
+    }
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// The fixed workload set the trace-recording binaries (`record_trace`,
 /// `refold`) and the CI replay gate operate on: four Rodinia kernels plus
 /// the paper's Fig. 6 running example, at small deterministic sizes so the

@@ -41,15 +41,22 @@
 //! The pre-optimization implementation is retained in [`baseline`] for
 //! differential tests and benchmark comparison.
 //!
-//! ## Pipeline decomposition
+//! ## One profiler, two memory stages
 //!
-//! For intra-trace parallelism the profiler also exists in a staged form:
-//! [`pipeline::PreProfiler`] (sequential IIV/interning/register prefix,
-//! emitting unresolved memory events via [`PreSink`]),
-//! [`shadow::ShadowResolver`] (shadow resolution on its own thread), and
-//! [`pipeline::ShardRouter`] (key-partitioned fan-out to folding workers),
-//! exchanging [`chunk::EventChunk`] batches over bounded channels. The
-//! orchestration lives in `polyfold::pipeline`.
+//! [`Profiler`] owns the inherently sequential work — loop events, the
+//! dynamic IIV, context/statement interning and register flow — and hands
+//! each memory touch to its [`MemStage`], the only point of variation:
+//!
+//! * [`DdgProfiler`] resolves touches in line through a
+//!   [`shadow::ShadowResolver`] (the serial executor);
+//! * [`pipeline::PreProfiler`] defers them as [`PreSink::mem_pre`] records,
+//!   which a `ShadowResolver` on its own thread resolves later, and
+//!   [`pipeline::ShardRouter`] fans the resolved stream out to folding
+//!   workers, in [`chunk::EventChunk`] batches over bounded channels.
+//!
+//! Shadow-memory update logic therefore exists once, in
+//! [`ShadowResolver::resolve`](shadow::ShadowResolver::resolve). The
+//! orchestration of both executors lives in `polyfold::pipeline`.
 
 pub mod baseline;
 pub mod chunk;
@@ -63,9 +70,10 @@ use polycfg::{LoopEventGen, StaticStructure};
 use polyiiv::context::{ContextInterner, CtxPathId, StmtId};
 use polyiiv::IivTracker;
 use polyir::{BlockRef, FuncId, InstrRef, Program, Value};
+use polyresist::{FaultPlan, FaultSite, ResourceBudget};
 use polyvm::EventSink;
 use prune::{PruneMask, PRUNED_STMT};
-use shadow::{ShadowMemory, Writer};
+use shadow::{ShadowResolver, Writer};
 use std::sync::Arc;
 
 /// Kind of data dependence.
@@ -145,22 +153,59 @@ impl Default for DdgConfig {
     }
 }
 
+/// What a [`Profiler`] does with each tracked memory touch — the one point
+/// where the serial and the pipelined profilers differ. Everything else
+/// (loop events, the dynamic IIV, statement interning, register flow) is
+/// the same code for both.
+pub trait MemStage<S> {
+    /// A stage honoring `cfg`'s anti/output tracking switches.
+    fn new(cfg: DdgConfig) -> Self;
+    /// Handle one touch of word `addr` by `stmt` at `coords`.
+    fn touch(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool, out: &mut S);
+    /// Charge the stage's retained state against `budget`.
+    fn set_budget(&mut self, budget: Arc<ResourceBudget>);
+    /// Heap bytes of the stage's spilled coordinate snapshots.
+    fn arena_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// The serial memory stage: resolve each touch in line through the shadow
+/// memory, emitting its dependences and access straight into the sink.
+impl<F: FoldSink> MemStage<F> for ShadowResolver {
+    fn new(cfg: DdgConfig) -> Self {
+        ShadowResolver::new(cfg)
+    }
+    #[inline]
+    fn touch(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool, out: &mut F) {
+        self.resolve(stmt, coords, addr, is_write, out);
+    }
+    fn set_budget(&mut self, budget: Arc<ResourceBudget>) {
+        ShadowResolver::set_budget(self, budget);
+    }
+    fn arena_bytes(&self) -> usize {
+        ShadowResolver::arena_bytes(self)
+    }
+}
+
 /// The stage-2 profiler: an [`EventSink`] that drives loop-event generation
-/// (Alg. 1/2), the dynamic IIV (Alg. 3), shadow memory and register
-/// tracking, and streams the folding interface to `F`.
-pub struct DdgProfiler<'p, F: FoldSink> {
+/// (Alg. 1/2), the dynamic IIV (Alg. 3) and register tracking, hands every
+/// memory touch to its [`MemStage`] `M`, and streams the folding interface
+/// to `S`. Use it through [`DdgProfiler`] (shadow memory in line) or
+/// [`pipeline::PreProfiler`] (memory touches deferred downstream).
+pub struct Profiler<'p, S, M> {
     prog: &'p Program,
     gen: LoopEventGen<'p>,
     iiv: IivTracker,
     /// Context/statement interner, exposed after the run for reporting.
     pub interner: ContextInterner,
-    shadow: ShadowMemory,
+    mem: M,
     arena: CoordArena,
     reg_frames: Vec<Vec<Option<Writer>>>,
     /// Retired register frames, recycled on the next call (steady-state
     /// call/ret does not allocate).
     frame_pool: Vec<Vec<Option<Writer>>>,
-    out: F,
+    out: S,
     cfg: DdgConfig,
     /// Current coordinate vector, refreshed copy-on-change.
     coords: Vec<i64>,
@@ -182,37 +227,44 @@ pub struct DdgProfiler<'p, F: FoldSink> {
     /// Dynamic memory events whose shadow tracking was skipped by the
     /// access-level mask (their streams are synthesized statically).
     pub pruned_mem_events: u64,
-    /// Optional resource budget: shadow pages and spilled coordinates are
-    /// charged against its byte limit, and its deadline is polled through
-    /// the VM's throttled [`EventSink::poll_abort`] hook.
-    budget: Option<Arc<polyresist::ResourceBudget>>,
+    /// Optional deterministic fault plan probed per memory event
+    /// ([`FaultSite::PanicPre`]).
+    faults: Option<Arc<FaultPlan>>,
+    /// Optional resource budget: spilled coordinates (and the memory
+    /// stage's state) are charged against its byte limit, and its deadline
+    /// is polled through the VM's throttled [`EventSink::poll_abort`] hook.
+    budget: Option<Arc<ResourceBudget>>,
 }
+
+/// The serial stage-2 profiler: shadow memory resolved in line on the VM
+/// thread.
+pub type DdgProfiler<'p, F> = Profiler<'p, F, ShadowResolver>;
 
 /// Direct-mapped statement-cache size; must be a power of two. Multi-block
 /// loop bodies alternate between a handful of instructions per context, so a
 /// small cache captures virtually all lookups.
-pub(crate) const STMT_CACHE_SLOTS: usize = 64;
+const STMT_CACHE_SLOTS: usize = 64;
 
 #[inline]
-pub(crate) fn stmt_cache_slot(instr: InstrRef) -> usize {
+fn stmt_cache_slot(instr: InstrRef) -> usize {
     (instr.idx as usize
         ^ ((instr.block.block.0 as usize) << 2)
         ^ ((instr.block.func.0 as usize) << 5))
         & (STMT_CACHE_SLOTS - 1)
 }
 
-impl<'p, F: FoldSink> DdgProfiler<'p, F> {
+impl<'p, S: FoldSink, M: MemStage<S>> Profiler<'p, S, M> {
     /// Build a profiler over a program and its stage-1 structure; `out`
     /// receives the folding streams.
-    pub fn new(prog: &'p Program, structure: &'p StaticStructure, out: F) -> Self {
+    pub fn new(prog: &'p Program, structure: &'p StaticStructure, out: S) -> Self {
         Self::with_config(prog, structure, out, DdgConfig::default())
     }
 
-    /// As [`DdgProfiler::new`] with explicit configuration.
+    /// As [`Profiler::new`] with explicit configuration.
     pub fn with_config(
         prog: &'p Program,
         structure: &'p StaticStructure,
-        out: F,
+        out: S,
         cfg: DdgConfig,
     ) -> Self {
         let entry_fn = prog.entry.expect("program must have an entry");
@@ -221,12 +273,12 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
             block: prog.func(entry_fn).entry(),
         };
         let n_regs = prog.func(entry_fn).n_regs as usize;
-        DdgProfiler {
+        Profiler {
             prog,
             gen: LoopEventGen::new(structure),
             iiv: IivTracker::new(entry),
             interner: ContextInterner::new(),
-            shadow: ShadowMemory::new(),
+            mem: M::new(cfg),
             arena: CoordArena::new(),
             reg_frames: vec![vec![None; n_regs]],
             frame_pool: Vec::new(),
@@ -242,51 +294,55 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
             prune: None,
             pruned_events: 0,
             pruned_mem_events: 0,
+            faults: None,
             budget: None,
         }
     }
 
     /// Enable static instrumentation pruning: instructions in `mask` skip
     /// register-dependence tracking, and access-level entries additionally
-    /// skip shadow tracking. Sound only for masks whose every entry
+    /// skip the memory stage. Sound only for masks whose every entry
     /// satisfies the [`prune`] module contract.
     pub fn set_prune_mask(&mut self, mask: Arc<PruneMask>) {
         self.prune = Some(mask);
     }
 
-    /// Attach a resource budget: shadow pages and spilled coordinate
-    /// vectors are charged against the byte limit, and the deadline is
-    /// polled by the VM watchdog ([`EventSink::poll_abort`]).
-    pub fn set_budget(&mut self, budget: Arc<polyresist::ResourceBudget>) {
-        self.shadow.set_budget(Arc::clone(&budget));
+    /// Attach a resource budget: spilled coordinate vectors and the memory
+    /// stage's state are charged against the byte limit, and the deadline
+    /// is polled by the VM watchdog ([`EventSink::poll_abort`]).
+    pub fn set_budget(&mut self, budget: Arc<ResourceBudget>) {
+        self.mem.set_budget(Arc::clone(&budget));
         self.arena.set_budget(Arc::clone(&budget));
         self.budget = Some(budget);
     }
 
-    /// Consume the profiler, returning the sink and interner.
-    pub fn finish(self) -> (F, ContextInterner) {
-        (self.out, self.interner)
+    /// Arm a deterministic fault plan ([`FaultSite::PanicPre`] fires as a
+    /// panic on the probed memory event). Zero-cost when never called.
+    pub fn set_faults(&mut self, plan: Arc<FaultPlan>) {
+        self.faults = Some(plan);
     }
 
-    /// Shadow-memory MRU page-cache `(hits, misses)` so far.
-    pub fn shadow_mru_stats(&self) -> (u64, u64) {
-        self.shadow.mru_stats()
+    /// Consume the profiler, returning the sink and interner.
+    pub fn finish(self) -> (S, ContextInterner) {
+        let (out, interner, _) = self.into_parts();
+        (out, interner)
+    }
+
+    /// Consume the profiler, returning the sink, the interner and the
+    /// memory stage (whose shadow statistics outlive the run).
+    pub fn into_parts(self) -> (S, ContextInterner, M) {
+        (self.out, self.interner, self.mem)
     }
 
     /// Immutable access to the fold sink mid-run.
-    pub fn sink(&self) -> &F {
+    pub fn sink(&self) -> &S {
         &self.out
     }
 
-    /// Resident shadow pages (overhead statistics for benchmarks).
-    pub fn resident_shadow_pages(&self) -> usize {
-        self.shadow.resident_pages()
-    }
-
     /// Heap footprint of spilled (> [`coords::INLINE_DIMS`]-dim) coordinate
-    /// snapshots in bytes.
+    /// snapshots in bytes, the memory stage's included.
     pub fn arena_bytes(&self) -> usize {
-        self.arena.bytes()
+        self.arena.bytes() + self.mem.arena_bytes()
     }
 
     fn drain_loop_events(&mut self) {
@@ -352,7 +408,19 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
     }
 }
 
-impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
+impl<'p, F: FoldSink> DdgProfiler<'p, F> {
+    /// Shadow-memory MRU page-cache `(hits, misses)` so far.
+    pub fn shadow_mru_stats(&self) -> (u64, u64) {
+        self.mem.mru_stats()
+    }
+
+    /// Resident shadow pages (overhead statistics for benchmarks).
+    pub fn resident_shadow_pages(&self) -> usize {
+        self.mem.resident_pages()
+    }
+}
+
+impl<'p, S: FoldSink, M: MemStage<S>> EventSink for Profiler<'p, S, M> {
     fn local_jump(&mut self, from: BlockRef, to: BlockRef) {
         self.gen.on_jump(from, to, &mut self.loop_buf);
         self.drain_loop_events();
@@ -423,6 +491,14 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
 
     fn mem(&mut self, instr: InstrRef, addr: u64, is_write: bool) {
         self.mem_events += 1;
+        if let Some(plan) = &self.faults {
+            if plan.should_fire(FaultSite::PanicPre) {
+                panic!(
+                    "injected fault: pre-profiler panic (memory event {})",
+                    self.mem_events
+                );
+            }
+        }
         if let Some(m) = &self.prune {
             if m.contains_mem(instr) {
                 // Access-level prune: the whole shadow interaction of this
@@ -434,57 +510,8 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
         }
         let stmt = self.current_stmt(instr);
         self.refresh_coords();
-        // Resolve the shadow cell once; prior records are copied out so the
-        // update and the dependence emission don't contend for borrows.
-        let (prev_write, prev_read) = if is_write {
-            let snap = self.snapshot();
-            let cell = self.shadow.cell_mut(addr);
-            let prev = (cell.write, cell.read);
-            cell.write = Some(Writer { stmt, coords: snap });
-            cell.read = None;
-            prev
-        } else if self.cfg.track_anti {
-            let snap = self.snapshot();
-            let cell = self.shadow.cell_mut(addr);
-            let prev = (cell.write, None);
-            cell.read = Some(Writer { stmt, coords: snap });
-            prev
-        } else {
-            (self.shadow.last_write(addr).copied(), None)
-        };
-        if is_write {
-            if self.cfg.track_output {
-                if let Some(w) = prev_write {
-                    self.out.dependence(
-                        DepKind::Output,
-                        w.stmt,
-                        w.coords.resolve(&self.arena),
-                        stmt,
-                        &self.coords,
-                    );
-                }
-            }
-            if self.cfg.track_anti {
-                if let Some(r) = prev_read {
-                    self.out.dependence(
-                        DepKind::Anti,
-                        r.stmt,
-                        r.coords.resolve(&self.arena),
-                        stmt,
-                        &self.coords,
-                    );
-                }
-            }
-        } else if let Some(w) = prev_write {
-            self.out.dependence(
-                DepKind::Flow,
-                w.stmt,
-                w.coords.resolve(&self.arena),
-                stmt,
-                &self.coords,
-            );
-        }
-        self.out.mem_access(stmt, &self.coords, addr, is_write);
+        self.mem
+            .touch(stmt, &self.coords, addr, is_write, &mut self.out);
     }
 
     fn poll_abort(&mut self) -> bool {

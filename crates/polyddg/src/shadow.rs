@@ -217,18 +217,19 @@ impl ShadowMemory {
     }
 }
 
-/// Stage-2 shadow resolution for the profiling pipeline: owns a
-/// [`ShadowMemory`] (plus its own [`CoordArena`] for writer snapshots) on a
-/// thread of its own, and turns unresolved
-/// [`mem_pre`](crate::PreSink::mem_pre) records into the same
-/// flow/anti/output dependences and `mem_access` events the in-line
-/// [`DdgProfiler`](crate::DdgProfiler) memory path emits, in the same order.
+/// Stage-2 shadow resolution: owns a [`ShadowMemory`] (plus its own
+/// [`CoordArena`] for writer snapshots) and turns each memory touch into
+/// flow/anti/output dependences plus a `mem_access` event. It is the memory
+/// stage of the serial [`DdgProfiler`](crate::DdgProfiler) (called in line)
+/// and of the pipeline (fed [`mem_pre`](crate::PreSink::mem_pre) records on
+/// a thread of its own), so both executors emit the same events in the same
+/// order.
 ///
 /// The resolver cannot see loop events, so it recovers the profiler's
 /// "capture one snapshot per coordinate change" behaviour by comparing each
 /// event's coordinate slice against the last one seen: coordinates only
 /// change on loop boundaries, so the compare almost always hits and the
-/// arena sees the same one-capture-per-change traffic as the serial path.
+/// arena sees one capture per change.
 #[derive(Debug)]
 pub struct ShadowResolver {
     shadow: ShadowMemory,
@@ -267,6 +268,11 @@ impl ShadowResolver {
         self.arena.set_budget(budget);
     }
 
+    /// Heap bytes of the resolver's spilled writer snapshots.
+    pub fn arena_bytes(&self) -> usize {
+        self.arena.bytes()
+    }
+
     /// Events whose dependences were skipped due to refused shadow pages.
     pub fn unresolved(&self) -> u64 {
         self.unresolved
@@ -292,7 +298,9 @@ impl ShadowResolver {
     }
 
     /// Resolve one memory touch, emitting its dependences and the access
-    /// event into `out` (mirrors `DdgProfiler::mem` exactly).
+    /// event into `out`. The single implementation of the shadow-cell
+    /// update: the serial profiler calls it in line, the pipeline on the
+    /// resolver thread.
     pub fn resolve<F: FoldSink>(
         &mut self,
         stmt: StmtId,

@@ -43,17 +43,7 @@ pub struct FeedbackInput<'a> {
 
 /// Run the whole pipeline on a program and produce its feedback.
 pub fn feedback_for_program(prog: &polyir::Program) -> ProgramFeedback {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog)
-        .run(&[], &mut rec)
-        .expect("pass-1 execution failed");
-    let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let mut prof = polyddg::DdgProfiler::new(prog, &structure, polyfold::FoldingSink::new());
-    polyvm::Vm::new(prog)
-        .run(&[], &mut prof)
-        .expect("pass-2 execution failed");
-    let (sink, interner) = prof.finish();
-    let mut ddg = sink.finalize(prog, &interner);
+    let (mut ddg, interner, structure) = polyfold::fold_program(prog);
     ddg.remove_scevs();
     let analysis = Analysis::analyze(&ddg, &interner);
     metrics::compute(&FeedbackInput {

@@ -15,7 +15,6 @@
 //! * the Table 1 / Table 2 textual rendering of dependence streams and
 //!   folded dependence relations.
 
-pub mod adaptive;
 pub mod fitter;
 pub mod pipeline;
 pub mod replay;
@@ -806,15 +805,11 @@ pub fn try_fold_program(
             msg: e.to_string(),
         })?;
     let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let mut prof = polyddg::DdgProfiler::new(prog, &structure, FoldingSink::new());
-    polyvm::Vm::new(prog)
-        .run(&[], &mut prof)
-        .map_err(|e| PolyProfError::Vm {
-            stage: "pass-2",
-            msg: e.to_string(),
-        })?;
-    let (sink, interner) = prof.finish();
-    let ddg = sink.finalize(prog, &interner);
+    let cfg = pipeline::PipelineConfig {
+        fold_threads: 0,
+        ..Default::default()
+    };
+    let (ddg, interner, _, _) = pipeline::fold(prog, &structure, &cfg, None)?;
     Ok((ddg, interner, structure))
 }
 

@@ -1,7 +1,18 @@
-//! Intra-trace pipeline parallelism: one profiling run, many threads.
+//! Pass 2, end to end: one profiler, one VM drive, one entry point.
 //!
-//! The serial pass 2 does everything on the VM thread. [`fold_pipelined`]
-//! splits that run into three stages connected by bounded channels:
+//! [`fold`] runs the DDG profiler over the program and folds its event
+//! stream into a [`FoldedDdg`]. It has two executors, and both drive the VM
+//! through the same private `drive` function — the same
+//! [`Profiler`], prune mask, budget, watchdog and
+//! [`MemSynth`] re-emission — and are harvested, accounted and finalized in
+//! one place:
+//!
+//! * **inline** (`fold_threads == 0` and no fault plan): a
+//!   [`DdgProfiler`](polyddg::DdgProfiler) resolves shadow memory in line
+//!   and folds into one [`FoldingSink`] on the calling thread;
+//! * **pipelined** (`fold_threads = K ≥ 1`): the same profiler with its
+//!   memory stage deferred, split over three stages connected by bounded
+//!   channels:
 //!
 //! ```text
 //!  VM thread            resolver thread          K folding workers
@@ -15,31 +26,31 @@
 //! ```
 //!
 //! * Stage 1 is inherently sequential (the IIV and the interner follow the
-//!   single control-flow trace); it batches events into
-//!   [`EventChunk`]s.
+//!   single control-flow trace); it batches events into [`EventChunk`]s.
 //! * Stage 2 owns the shadow memory and emits resolved dependences.
 //! * Stage 3 shards by folding key — statement id for points/accesses,
 //!   *consumer* statement id for dependences — so each key's whole stream
 //!   lands in exactly one [`FoldingSink`] partition, in serial order
 //!   (single producer, FIFO channels). Per-shard folding state is therefore
-//!   identical to the serial run, and [`FoldedDdg::merge_parts`] produces
+//!   identical to the inline run, and [`FoldedDdg::merge_parts`] produces
 //!   byte-identical output.
 //!
 //! All channels are bounded (`sync_channel`): a slow consumer backpressures
 //! the VM instead of letting chunks pile up. Consumed chunks are recycled
 //! through never-blocking return channels, preserving the zero-allocation
-//! steady state inside every stage.
+//! steady state inside every stage. Offline replay
+//! ([`fold_recording`](crate::replay::fold_recording)) feeds the same shard
+//! edge and fold workers from a recording instead of a resolver.
 //!
 //! ## Supervision
 //!
-//! Every stage thread runs its body under `catch_unwind`, so a panic in any
-//! stage is converted into a structured [`PolyProfError`] instead of
-//! poisoning the scope. Unwinding drops the stage's channel endpoints, which
-//! unblocks its peers: a dead consumer makes the producer's sends error out
-//! (counted as dropped chunks by [`ChunkWriter`]), and a dead producer makes
-//! `recv` disconnect — no fault can deadlock the pipeline.
-//!
-//! [`fold_pipelined_supervised`] layers policy on top:
+//! Every pipeline stage thread runs its body under `catch_unwind`, so a
+//! panic in any stage is converted into a structured [`PolyProfError`]
+//! instead of poisoning the scope. Unwinding drops the stage's channel
+//! endpoints, which unblocks its peers: a dead consumer makes the
+//! producer's sends error out (counted as dropped chunks by
+//! [`ChunkWriter`]), and a dead producer makes `recv` disconnect — no fault
+//! can deadlock the pipeline. On top of that:
 //!
 //! * a dead *folding worker* only loses its shard — the surviving shards are
 //!   merged with [`FoldedDdg::merge_parts_tolerant`] and the lost shard ids
@@ -48,51 +59,76 @@
 //!   attempt, which is retried with linear backoff. [`FaultPlan`] occurrence
 //!   counters keep counting across attempts, so a one-shot injected fault
 //!   does not re-fire on retry;
-//! * after `max_retries` failed attempts the run falls back to the retained
-//!   serial `DdgProfiler` path (no fault hooks — the trusted baseline),
-//!   still honoring the resource budget.
+//! * after `max_retries` failed attempts the run falls back to the inline
+//!   executor (which arms no fault hooks), still honoring the budget.
 //!
-//! With no fault plan and no budget armed, every hook is a skipped `None`
-//! branch and the supervised path is event-for-event identical to
-//! [`fold_pipelined`].
+//! ## Telemetry
+//!
+//! Count-domain tallies — dynamic ops, memory events, folded events, chunk
+//! traffic — are returned by the stages and harvested once, from the
+//! attempt whose output the run returns, so a retried or fallen-back run
+//! counts its trace exactly once. Spans, latency histograms and timeline
+//! journals record the time of every attempt.
 
-use crate::{ChunkScratch, FoldOptions, FoldedDdg, FoldingSink};
+use crate::{ChunkScratch, FoldOptions, FoldStats, FoldedDdg, FoldingSink};
 use polycfg::StaticStructure;
 use polyddg::chunk::{ChunkStats, ChunkWriter, EventChunk, EventRef};
-use polyddg::pipeline::{PreProfiler, ShardRouter};
+use polyddg::pipeline::{Deferred, ShardRouter};
 use polyddg::prune::{PruneMask, PrunedEvents};
 use polyddg::shadow::ShadowResolver;
-use polyddg::{DdgConfig, DdgProfiler, FoldSink, MemSynth};
+use polyddg::{DdgConfig, FoldSink, MemStage, MemSynth, Profiler};
 use polyiiv::context::ContextInterner;
 use polyir::Program;
-use polyrec::{Recorder, TraceWriter};
+use polyrec::{Recorder, TraceWriter, WriteStats};
 use polyresist::{panic_msg, FaultPlan, FaultSite, PolyProfError, ResourceBudget, RunDegradation};
 use polytrace::{
     tid_shard, Collector, Counter, HistKind, Histogram, Journal, PipeStage, Stage, TID_DRIVER,
     TID_RESOLVE,
 };
-use std::fs::File;
-use std::io::BufWriter;
+use polyvm::OpcodeTelemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
-/// Knobs of one pipelined profiling run.
-#[derive(Debug, Clone, Copy)]
+/// Knobs of one pass-2 run: the executor, its batching, and the hooks both
+/// executors honor.
+#[derive(Clone)]
 pub struct PipelineConfig {
-    /// Folding worker count K (≥ 1). With the two stage threads this puts
-    /// K + 2 threads on one trace.
+    /// Folding shards K. `0` folds in line on the calling thread; K ≥ 1
+    /// runs the staged pipeline with K folding workers next to the VM and
+    /// shadow-resolution threads (K + 2 threads on one trace). A fault plan
+    /// always runs the pipeline, with at least one shard: its injection
+    /// sites live in the pipeline stages.
     pub fold_threads: usize,
-    /// Events per chunk — the batching granularity between stages.
+    /// Events per chunk — the batching granularity between stages and of
+    /// the recording.
     pub chunk_events: usize,
     /// Bounded-channel depth, in chunks, per edge (backpressure window).
     pub queue_chunks: usize,
     /// Folding options for every shard.
     pub options: FoldOptions,
-    /// DDG tracking switches (must match the serial config being compared).
+    /// DDG tracking switches.
     pub ddg: DdgConfig,
+    /// Static prune mask installed on the profiler (see `polyddg::prune`).
+    pub prune: Option<Arc<PruneMask>>,
+    /// Re-emits the access-level-pruned memory streams after the VM run;
+    /// required when `prune` carries access-level bits (see [`MemSynth`]).
+    pub synth: Option<Arc<dyn MemSynth>>,
+    /// Record the resolved event stream into a `.ptrace` file at this path.
+    /// A retried attempt recreates the file; the serial fallback does not
+    /// record (the loss is noted in the degradation report).
+    pub record_to: Option<PathBuf>,
+    /// Deterministic fault-injection schedule (tests / resilience gate).
+    pub faults: Option<Arc<FaultPlan>>,
+    /// Shared byte/deadline budget; stages degrade instead of aborting.
+    pub budget: Option<Arc<ResourceBudget>>,
+    /// Failed pipeline attempts to retry before the serial fallback.
+    pub max_retries: u32,
+    /// Base backoff between attempts (scaled linearly by attempt number).
+    pub backoff: Duration,
 }
 
 impl Default for PipelineConfig {
@@ -106,30 +142,9 @@ impl Default for PipelineConfig {
             queue_chunks: 4,
             options: FoldOptions::default(),
             ddg: DdgConfig::default(),
-        }
-    }
-}
-
-/// Supervision policy and resilience hooks for one profiling run.
-///
-/// The default is fully disarmed: no fault plan, no budget, and the
-/// supervised path behaves exactly like the plain pipelined one (panics are
-/// still caught and retried — genuine transient failures recover too).
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// Deterministic fault-injection schedule (tests / resilience gate).
-    pub faults: Option<Arc<FaultPlan>>,
-    /// Shared byte/deadline budget; stages degrade instead of aborting.
-    pub budget: Option<Arc<ResourceBudget>>,
-    /// Failed pipeline attempts to retry before the serial fallback.
-    pub max_retries: u32,
-    /// Base backoff between attempts (scaled linearly by attempt number).
-    pub backoff: Duration,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
+            prune: None,
+            synth: None,
+            record_to: None,
             faults: None,
             budget: None,
             max_retries: 2,
@@ -138,18 +153,353 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Run pass 2 as a parallel pipeline over an already-analyzed structure.
-///
-/// Semantically identical to the serial
-/// `DdgProfiler<FoldingSink>` → `finalize` path (proven byte-identical by
-/// the sharded differential suite); the work is spread over
-/// `2 + fold_threads` threads.
-pub fn fold_pipelined(
+/// Run pass 2 over an already-analyzed structure and fold it: the one entry
+/// point of every live profiling run (see the module docs for the two
+/// executors). Returns the folded DDG, the interner, the events the prune
+/// mask skipped, and everything the run lost or recovered from. `Err` only
+/// when even the serial fallback cannot complete (a deterministic VM
+/// failure) or a recording cannot be written.
+pub fn fold(
     prog: &Program,
     structure: &StaticStructure,
     cfg: &PipelineConfig,
-) -> (FoldedDdg, ContextInterner) {
-    fold_pipelined_traced(prog, structure, cfg, None)
+    trace: Option<&Arc<Collector>>,
+) -> Result<(FoldedDdg, ContextInterner, PrunedEvents, RunDegradation), PolyProfError> {
+    let profile_span = trace.map(|c| c.span(Stage::Profile));
+    let mut deg = RunDegradation::default();
+    let mut a = if cfg.fold_threads == 0 && cfg.faults.is_none() {
+        fold_inline(prog, structure, cfg, cfg.record_to.as_deref(), trace)?
+    } else {
+        supervise(prog, structure, cfg, trace, &mut deg)?
+    };
+    if let Some(c) = trace {
+        harvest(c, &a);
+    }
+
+    deg.deadline_hit = a.run.deadline_hit;
+    deg.unresolved_accesses = a.shadow.unresolved();
+    deg.shadow_alloc_failures = a.shadow.alloc_failures();
+    deg.budget_overapprox_stmts = a
+        .shards
+        .iter()
+        .flatten()
+        .map(|s| s.fold_stats().budget_degraded)
+        .sum();
+    if let Some(p) = &a.pipe {
+        deg.dropped_chunks = p.emitted.dropped_chunks + p.routed.dropped_chunks;
+        deg.malformed_chunks = p.malformed;
+        for (shard, msg) in &p.lost_workers {
+            deg.note(
+                "fold",
+                format!("shard {shard} lost ({msg}); output is partial"),
+            );
+        }
+    }
+    if let Some(b) = &cfg.budget {
+        deg.budget_pressure = b.under_pressure();
+        deg.peak_tracked_bytes = b.peak_bytes();
+        if b.deadline_was_hit() {
+            deg.deadline_hit = true;
+        }
+    }
+    if let Some(p) = &cfg.faults {
+        let alloc_seen = deg.shadow_alloc_failures;
+        deg.absorb_plan(p);
+        // `absorb_plan` reports plan-fired allocation faults; keep whichever
+        // count is larger in case a retried attempt saw real failures too.
+        deg.shadow_alloc_failures = deg.shadow_alloc_failures.max(alloc_seen);
+    }
+    if let Some(c) = trace {
+        c.add(Counter::FaultsInjected, deg.faults_injected);
+        c.add(Counter::UnresolvedAccesses, deg.unresolved_accesses);
+        c.add(Counter::BudgetOverapprox, deg.budget_overapprox_stmts);
+        if deg.deadline_hit {
+            c.add(Counter::DeadlineHits, 1);
+            c.timeline_instant("deadline-hit", TID_DRIVER, 0, 0);
+        }
+        if deg.budget_pressure {
+            c.timeline_instant("budget-pressure", TID_DRIVER, deg.peak_tracked_bytes, 0);
+        }
+    }
+
+    // The inline executor finalizes its single sink as its own stage; the
+    // pipeline's parallel finalize and merge is part of its profile span.
+    let ddg = if a.pipe.is_none() {
+        drop(profile_span);
+        let _span = trace.map(|c| c.span(Stage::Finalize));
+        let sink = a.shards.pop().flatten().expect("inline fold has one sink");
+        sink.finalize(prog, &a.run.interner)
+    } else {
+        let _span = trace.map(|c| c.pipe_span(PipeStage::Merge));
+        let (ddg, missing) = finalize_shards_tolerant(a.shards, prog, &a.run.interner);
+        deg.missing_shards = missing;
+        ddg
+    };
+    Ok((ddg, a.run.interner, a.run.pruned, deg))
+}
+
+/// Everything one VM drive produced besides the sink and the memory stage.
+struct Driven {
+    interner: ContextInterner,
+    pruned: PrunedEvents,
+    deadline_hit: bool,
+    dyn_ops: u64,
+    mem_events: u64,
+    arena_bytes: usize,
+    opcodes: Option<Box<OpcodeTelemetry>>,
+}
+
+/// The one place the pass-2 VM runs: a [`Profiler`] with memory stage `M`
+/// streaming into `out`, with the prune mask, budget and (pipeline-only)
+/// fault plan installed. A watchdog abort keeps the partial trace; the
+/// access-level-pruned memory streams are re-emitted afterwards.
+fn drive<S: FoldSink, M: MemStage<S>>(
+    prog: &Program,
+    structure: &StaticStructure,
+    out: S,
+    cfg: &PipelineConfig,
+    faults: Option<&Arc<FaultPlan>>,
+    trace: Option<&Arc<Collector>>,
+) -> Result<(S, M, Driven), PolyProfError> {
+    let mut prof = Profiler::<S, M>::with_config(prog, structure, out, cfg.ddg);
+    if let Some(m) = &cfg.prune {
+        prof.set_prune_mask(Arc::clone(m));
+    }
+    if let Some(b) = &cfg.budget {
+        prof.set_budget(Arc::clone(b));
+    }
+    if let Some(p) = faults {
+        prof.set_faults(Arc::clone(p));
+    }
+    let mut vm = polyvm::Vm::new(prog);
+    if let Some(c) = trace {
+        // Opcode telemetry is plain-u64 counting at `Timing`, plus sampled
+        // dispatch timing at `Trace`; `Off`/`Counters` never arm it.
+        if c.timing() {
+            vm.enable_opcode_telemetry(c.tracing());
+        }
+    }
+    let deadline_hit = match vm.run(&[], &mut prof) {
+        Ok(_) => false,
+        // The budget watchdog asked for a graceful stop: fold the
+        // partial-but-valid trace observed so far.
+        Err(polyvm::VmError::Aborted) => true,
+        Err(e) => {
+            return Err(PolyProfError::Vm {
+                stage: "pass-2",
+                msg: e.to_string(),
+            })
+        }
+    };
+    let pruned = PrunedEvents {
+        reg: prof.pruned_events,
+        mem: prof.pruned_mem_events,
+    };
+    let (dyn_ops, mem_events, arena_bytes) = (prof.dyn_ops, prof.mem_events, prof.arena_bytes());
+    let (mut out, interner, mem) = prof.into_parts();
+    // The pruned statements' access/dep keys never appear dynamically, so
+    // appending their synthesized streams after the trace keeps every
+    // per-key stream in serial order. A deadline-aborted trace is partial:
+    // synthesizing full streams would invent events the run never reached.
+    if let Some(sy) = &cfg.synth {
+        if !deadline_hit {
+            sy.synthesize(&interner, &cfg.ddg, &mut out);
+        }
+    }
+    let driven = Driven {
+        interner,
+        pruned,
+        deadline_hit,
+        dyn_ops,
+        mem_events,
+        arena_bytes,
+        opcodes: vm.take_opcode_telemetry(),
+    };
+    Ok((out, mem, driven))
+}
+
+/// One pass-2 attempt's output before finalization: the fold shards (one
+/// for the inline executor; `None` where a worker died) plus everything the
+/// run harvests and accounts from it.
+struct Attempt {
+    shards: Vec<Option<FoldingSink>>,
+    run: Driven,
+    shadow: ShadowResolver,
+    rec: Option<WriteStats>,
+    /// Channel-side tallies; `None` for the inline executor.
+    pipe: Option<PipeTally>,
+}
+
+/// Channel-side tallies of a pipelined attempt.
+struct PipeTally {
+    emitted: ChunkStats,
+    routed: ChunkStats,
+    resolved: u64,
+    /// Receive stalls summed over the resolver and every worker.
+    recv_stall_ns: u64,
+    recv_threads: u64,
+    malformed: u64,
+    /// `(shard, error)` for workers that died without emitting a sink.
+    lost_workers: Vec<(usize, String)>,
+}
+
+/// Harvest the count-domain telemetry of the attempt whose output the run
+/// returns — the only place pass-2 counters reach the collector.
+fn harvest(c: &Collector, a: &Attempt) {
+    let r = &a.run;
+    if let Some(t) = &r.opcodes {
+        t.harvest(c);
+    }
+    c.add(Counter::DynOps, r.dyn_ops);
+    c.add(Counter::MemEvents, r.mem_events);
+    c.add(Counter::PrunedEvents, r.pruned.reg);
+    c.add(Counter::PrunedMemEvents, r.pruned.mem);
+    let (hits, misses) = r.interner.cache_stats();
+    c.add(Counter::CtxCacheHit, hits);
+    c.add(Counter::CtxCacheMiss, misses);
+    let (hits, misses) = a.shadow.mru_stats();
+    c.add(Counter::ShadowMruHit, hits);
+    c.add(Counter::ShadowMruMiss, misses);
+    c.add(Counter::ShadowPages, a.shadow.resident_pages() as u64);
+    c.add(Counter::ArenaBytes, r.arena_bytes as u64);
+    if let Some(p) = &a.pipe {
+        ChunkWriter::harvest(&p.emitted, c, Counter::EventsEmitted);
+        ChunkWriter::harvest(&p.routed, c, Counter::EventsRouted);
+        c.add(Counter::EventsResolved, p.resolved);
+        c.add(Counter::RecvStallNs, p.recv_stall_ns);
+        c.add(Counter::RecvStallThreads, p.recv_threads);
+    }
+    harvest_folds(c, &a.shards, a.pipe.is_some());
+    if let Some(w) = &a.rec {
+        c.add(Counter::RecFramesWritten, w.frames);
+        c.add(Counter::RecBytesWritten, w.bytes);
+    }
+}
+
+/// Fold-side counters of a set of shards; `per_shard` also registers each
+/// present shard's event count (shard balance needs every slot).
+pub(crate) fn harvest_folds(c: &Collector, shards: &[Option<FoldingSink>], per_shard: bool) {
+    let mut total = FoldStats::default();
+    for (k, sink) in shards.iter().enumerate() {
+        if let Some(sink) = sink {
+            let fs = sink.fold_stats();
+            if per_shard {
+                c.record_shard_events(k, fs.events_folded);
+            }
+            total.merge(&fs);
+        }
+    }
+    c.add(Counter::EventsFolded, total.events_folded);
+    c.add(Counter::DepsFolded, total.deps_folded);
+    c.add(Counter::ChunksFolded, total.chunks_folded);
+}
+
+/// The inline executor: shadow memory and folding on the calling thread,
+/// optionally tapped by a recorder.
+fn fold_inline(
+    prog: &Program,
+    structure: &StaticStructure,
+    cfg: &PipelineConfig,
+    record: Option<&Path>,
+    trace: Option<&Arc<Collector>>,
+) -> Result<Attempt, PolyProfError> {
+    let mut sink = FoldingSink::with_options(cfg.options);
+    if let Some(b) = &cfg.budget {
+        sink.set_budget(Arc::clone(b));
+    }
+    let (sink, shadow, run, rec) = match record {
+        Some(path) => {
+            let chunk_events = cfg.chunk_events.max(1);
+            let writer = TraceWriter::create(path, prog, chunk_events)?;
+            let tap = Recorder::new(writer, chunk_events, sink);
+            let (tap, shadow, run) =
+                drive::<_, ShadowResolver>(prog, structure, tap, cfg, None, trace)?;
+            let (sink, stats) = tap.finish(&run.interner)?;
+            (sink, shadow, run, Some(stats))
+        }
+        None => {
+            let (sink, shadow, run) = drive(prog, structure, sink, cfg, None, trace)?;
+            (sink, shadow, run, None)
+        }
+    };
+    Ok(Attempt {
+        shards: vec![Some(sink)],
+        run,
+        shadow,
+        rec,
+        pipe: None,
+    })
+}
+
+/// Retry failed pipeline attempts with linear backoff; once the retries
+/// run out, fall back to the inline executor.
+fn supervise(
+    prog: &Program,
+    structure: &StaticStructure,
+    cfg: &PipelineConfig,
+    trace: Option<&Arc<Collector>>,
+    deg: &mut RunDegradation,
+) -> Result<Attempt, PolyProfError> {
+    let mut attempt_no: u32 = 0;
+    loop {
+        match fold_attempt(prog, structure, cfg, trace) {
+            Ok(a) => return Ok(a),
+            Err(e) if attempt_no < cfg.max_retries => {
+                attempt_no += 1;
+                deg.stage_retries += 1;
+                deg.note(
+                    "supervisor",
+                    format!("attempt {attempt_no} failed ({e}); retrying"),
+                );
+                if let Some(c) = trace {
+                    c.add(Counter::StageRetries, 1);
+                    c.timeline_instant("stage-retry", TID_DRIVER, attempt_no as u64, 0);
+                }
+                let _span = trace.map(|c| c.span(Stage::Recovery));
+                std::thread::sleep(cfg.backoff * attempt_no);
+                // The budget is shared across attempts; give the retry the
+                // full deadline from *its* start instead of the stale (often
+                // already-expired) instant the failed attempt armed.
+                if let Some(b) = &cfg.budget {
+                    b.rearm();
+                }
+            }
+            Err(e) => {
+                deg.note(
+                    "supervisor",
+                    format!("pipeline abandoned after {attempt_no} retries ({e}); serial fallback"),
+                );
+                break;
+            }
+        }
+    }
+    deg.fell_back_serial = true;
+    if let Some(path) = &cfg.record_to {
+        deg.note(
+            "record",
+            format!("serial fallback skipped recording to {}", path.display()),
+        );
+    }
+    if let Some(c) = trace {
+        c.add(Counter::SerialFallbacks, 1);
+        c.timeline_instant("serial-fallback", TID_DRIVER, attempt_no as u64, 0);
+    }
+    let _span = trace.map(|c| c.span(Stage::Recovery));
+    fold_inline(prog, structure, cfg, None, trace)
+}
+
+/// Run a stage body under `catch_unwind`, turning a panic into a structured
+/// [`PolyProfError::StagePanic`] so no stage can poison the scope.
+fn stage<T>(
+    name: &'static str,
+    body: impl FnOnce() -> Result<T, PolyProfError>,
+) -> Result<T, PolyProfError> {
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| {
+        Err(PolyProfError::StagePanic {
+            stage: name,
+            msg: panic_msg(&*p),
+        })
+    })
 }
 
 /// One timed (or plain) bounded-channel receive; `None` on disconnect.
@@ -160,102 +510,39 @@ fn recv_timed(
     rx: &Receiver<EventChunk>,
     timing: bool,
     stall_ns: &mut u64,
-    hist: Option<&mut Histogram>,
+    hist: &mut Histogram,
 ) -> Option<EventChunk> {
     if timing {
         let t0 = Instant::now();
         let r = rx.recv().ok();
         let dt = t0.elapsed().as_nanos() as u64;
         *stall_ns += dt;
-        if let Some(h) = hist {
-            h.record(dt);
-        }
+        hist.record(dt);
         r
     } else {
         rx.recv().ok()
     }
 }
 
-/// As [`fold_pipelined`], optionally recording into a `polytrace`
-/// [`Collector`]: per-stage-thread spans, per-shard fold counts, chunk-pool
-/// and channel gauges, and the hot-path tallies (harvested once per stage —
-/// the per-event path stays atomic-free).
-pub fn fold_pipelined_traced(
-    prog: &Program,
-    structure: &StaticStructure,
-    cfg: &PipelineConfig,
-    trace: Option<&Arc<Collector>>,
-) -> (FoldedDdg, ContextInterner) {
-    let (ddg, interner, _) = fold_pipelined_pruned(prog, structure, cfg, trace, None, None);
-    (ddg, interner)
-}
-
-/// As [`fold_pipelined_traced`], with an optional static prune mask
-/// installed on the stage-1 profiler (see `polyddg::prune`). When the mask
-/// carries access-level bits, `synth` must re-emit the pruned memory
-/// streams (see [`MemSynth`]); the synthesized events are appended on the
-/// producer after the VM finishes, flowing through the same chunk channels
-/// so sharded folding stays byte-identical. The third return value counts
-/// the events the mask skipped — zero when `prune` is `None`.
-pub fn fold_pipelined_pruned(
-    prog: &Program,
-    structure: &StaticStructure,
-    cfg: &PipelineConfig,
-    trace: Option<&Arc<Collector>>,
-    prune: Option<Arc<PruneMask>>,
-    synth: Option<Arc<dyn MemSynth>>,
-) -> (FoldedDdg, ContextInterner, PrunedEvents) {
-    match fold_attempt(prog, structure, cfg, trace, prune, synth, None, None, None) {
-        Ok(ok) => {
-            let (ddg, missing) = {
-                let _span = trace.map(|c| c.pipe_span(PipeStage::Merge));
-                finalize_shards_tolerant(ok.shards, prog, &ok.interner)
-            };
-            debug_assert!(missing.is_empty(), "fault-free run lost shards {missing:?}");
-            (ddg, ok.interner, ok.pruned_events)
-        }
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Everything a successful pipeline attempt produced, before shard
-/// finalization: the (possibly gap-ridden) shard sinks plus the loss
-/// accounting the supervisor folds into the [`RunDegradation`].
-struct AttemptOk {
-    shards: Vec<Option<FoldingSink>>,
-    interner: ContextInterner,
-    pruned_events: PrunedEvents,
-    dropped_chunks: u64,
-    malformed_chunks: u64,
-    unresolved: u64,
-    alloc_failures: u64,
-    deadline_hit: bool,
-    /// `(shard, error)` for workers that died without emitting a sink.
-    lost_workers: Vec<(usize, String)>,
-}
-
 /// The resolver's chunk loop, generic over the resolved-event sink so the
-/// recording tap composes without touching the non-recording hot path (a
-/// plain [`ShardRouter`] run monomorphizes exactly as before). Returns
-/// `(resolved mem events, recv-stall ns)`.
+/// recording tap composes without touching the non-recording hot path.
+/// Returns `(resolved mem events, recv-stall ns)`.
 #[allow(clippy::too_many_arguments)]
 fn resolve_loop<S: FoldSink>(
     pre_rx: &Receiver<EventChunk>,
     pre_pool_tx: &SyncSender<EventChunk>,
     trace: Option<&Arc<Collector>>,
     faults: Option<&Arc<FaultPlan>>,
-    timing: bool,
-    mut stall_hist: Option<&mut Histogram>,
+    stall_hist: &mut Histogram,
     mut journal: Option<&mut Journal>,
-    shadow: &mut polyddg::shadow::ShadowResolver,
+    shadow: &mut ShadowResolver,
     sink: &mut S,
 ) -> (u64, u64) {
+    let timing = trace.is_some_and(|c| c.timing());
     let mut resolved = 0u64;
     let mut recv_stall = 0u64;
     let mut seq = 0u64;
-    while let Some(mut chunk) =
-        recv_timed(pre_rx, timing, &mut recv_stall, stall_hist.as_deref_mut())
-    {
+    while let Some(mut chunk) = recv_timed(pre_rx, timing, &mut recv_stall, stall_hist) {
         let opened = journal
             .as_deref_mut()
             .is_some_and(|j| j.begin("resolve-chunk", 0, seq));
@@ -309,556 +596,278 @@ fn resolve_loop<S: FoldSink>(
     (resolved, recv_stall)
 }
 
-/// One supervised pipeline attempt. Stage threads never poison the scope:
-/// each body runs under `catch_unwind` and surfaces panics as
-/// [`PolyProfError::StagePanic`]. A producer/resolver error — or the loss of
-/// every folding worker — fails the attempt; losing *some* workers only
-/// punches holes in `shards`.
+/// What one fold worker hands back: its sink plus its malformed-chunk and
+/// receive-stall tallies.
+pub(crate) struct Shard {
+    pub(crate) sink: FoldingSink,
+    malformed: u64,
+    recv_stall_ns: u64,
+}
+
+/// Join handles of the fold workers spawned by [`spawn_fold_workers`].
+pub(crate) type Workers<'scope> = Vec<ScopedJoinHandle<'scope, Result<Shard, PolyProfError>>>;
+
+/// The shard edge and the fold-worker stage, spawned into scope `s`: one
+/// bounded channel and one [`FoldingSink`] worker per shard (`cfg`'s K, at
+/// least one), behind the returned [`ShardRouter`]. Workers fold whole
+/// chunks until the router is finished (or dropped). The live pipeline
+/// feeds the router from its resolver, offline replay from a recording.
+pub(crate) fn spawn_fold_workers<'scope>(
+    s: &'scope Scope<'scope, '_>,
+    cfg: &'scope PipelineConfig,
+    trace: Option<&'scope Arc<Collector>>,
+) -> (ShardRouter, Workers<'scope>) {
+    let k = cfg.fold_threads.max(1);
+    let queue = cfg.queue_chunks.max(1);
+    let mut writers = Vec::with_capacity(k);
+    let mut workers = Vec::with_capacity(k);
+    for shard in 0..k {
+        let (tx, rx) = sync_channel::<EventChunk>(queue);
+        let (pool_tx, pool_rx) = sync_channel::<EventChunk>(queue + 2);
+        writers.push(ChunkWriter::new(cfg.chunk_events.max(1), tx, pool_rx));
+        workers
+            .push(s.spawn(move || stage("fold", || fold_worker(shard, rx, pool_tx, cfg, trace))));
+    }
+    let mut router = ShardRouter::new(writers);
+    if let Some(c) = trace {
+        router.set_trace(c);
+    }
+    if let Some(p) = &cfg.faults {
+        router.set_faults(p);
+    }
+    (router, workers)
+}
+
+/// One fold worker's loop: fold every chunk of shard `shard` until its
+/// channel disconnects.
+fn fold_worker(
+    shard: usize,
+    rx: Receiver<EventChunk>,
+    pool_tx: SyncSender<EventChunk>,
+    cfg: &PipelineConfig,
+    trace: Option<&Arc<Collector>>,
+) -> Result<Shard, PolyProfError> {
+    let _span = trace.map(|c| c.shard_span(shard));
+    let timing = trace.is_some_and(|c| c.timing());
+    let mut fold_hist = Histogram::new();
+    let mut stall_hist = Histogram::new();
+    let mut journal = trace.and_then(|c| c.new_journal(tid_shard(shard)));
+    let mut seq = 0u64;
+    let mut sink = FoldingSink::with_options(cfg.options);
+    if let Some(b) = &cfg.budget {
+        sink.set_budget(Arc::clone(b));
+    }
+    let mut malformed = 0u64;
+    let mut recv_stall = 0u64;
+    let mut scratch = ChunkScratch::default();
+    while let Some(mut chunk) = recv_timed(&rx, timing, &mut recv_stall, &mut stall_hist) {
+        if let Some(c) = trace {
+            c.queue_recv(1 + shard);
+        }
+        if let Some(p) = &cfg.faults {
+            if p.should_fire(FaultSite::PanicFold) {
+                panic!("injected fault: folding worker panic (shard {shard})");
+            }
+            // Validation runs only under an armed plan: production chunks
+            // come from our own writer and the check would tax the hot path.
+            if chunk.validate().is_err() {
+                malformed += 1;
+                chunk.clear();
+                let _ = pool_tx.try_send(chunk);
+                continue;
+            }
+        }
+        let opened = journal
+            .as_mut()
+            .is_some_and(|j| j.begin("fold-chunk", shard as u64, seq));
+        let t0 = timing.then(Instant::now);
+        sink.fold_chunk(&chunk, &mut scratch);
+        if let Some(t0) = t0 {
+            fold_hist.record(t0.elapsed().as_nanos() as u64);
+        }
+        if let Some(j) = journal.as_mut() {
+            j.end(opened, "fold-chunk", shard as u64, seq);
+        }
+        seq += 1;
+        chunk.clear();
+        let _ = pool_tx.try_send(chunk);
+    }
+    if let Some(c) = trace {
+        c.merge_hist(HistKind::FoldChunkNs, &fold_hist);
+        c.merge_hist(HistKind::RecvStallNs, &stall_hist);
+        if let Some(j) = journal {
+            c.submit_journal(j);
+        }
+    }
+    Ok(Shard {
+        sink,
+        malformed,
+        recv_stall_ns: recv_stall,
+    })
+}
+
+/// Join the fold workers: per shard its output or the error it died with.
+pub(crate) fn join_workers(workers: Workers<'_>) -> Vec<Result<Shard, PolyProfError>> {
+    workers
+        .into_iter()
+        .map(|h| h.join().expect("supervised stage never panics"))
+        .collect()
+}
+
+/// One supervised pipeline attempt. A producer/resolver error — or the loss
+/// of every folding worker — fails the attempt; losing *some* workers only
+/// punches holes in the shards.
 ///
-/// With `record` set, the resolver taps its resolved stream through a
-/// [`Recorder`] into a `.ptrace` file; the footer (which needs the
-/// producer's interner) is written after the stage threads join, so a failed
-/// attempt leaves a detectably unfinished recording behind.
-#[allow(clippy::too_many_arguments)]
+/// With `record_to` set, the resolver taps its resolved stream through a
+/// [`Recorder`]; the footer (which needs the producer's interner) is
+/// written after the stage threads join, so a failed attempt leaves a
+/// detectably unfinished recording behind.
 fn fold_attempt(
     prog: &Program,
     structure: &StaticStructure,
     cfg: &PipelineConfig,
     trace: Option<&Arc<Collector>>,
-    prune: Option<Arc<PruneMask>>,
-    synth: Option<Arc<dyn MemSynth>>,
-    faults: Option<&Arc<FaultPlan>>,
-    budget: Option<&Arc<ResourceBudget>>,
-    record: Option<&Path>,
-) -> Result<AttemptOk, PolyProfError> {
-    let k = cfg.fold_threads.max(1);
+) -> Result<Attempt, PolyProfError> {
     let chunk_events = cfg.chunk_events.max(1);
     let queue = cfg.queue_chunks.max(1);
-    let ddg_cfg = cfg.ddg;
-    let options = cfg.options;
+    let faults = cfg.faults.as_ref();
 
     let (prod, res, work) = std::thread::scope(|s| {
         // Stage 1 → stage 2 edge.
         let (pre_tx, pre_rx) = sync_channel::<EventChunk>(queue);
         let (pre_pool_tx, pre_pool_rx) = sync_channel::<EventChunk>(queue + 2);
+        // Stage 2 → stage 3 edges and the fold workers.
+        let (router, workers) = spawn_fold_workers(s, cfg, trace);
 
-        // Stage 2 → stage 3 edges, one pair per shard.
-        let mut shard_writers = Vec::with_capacity(k);
-        let mut shard_ends = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (tx, rx) = sync_channel::<EventChunk>(queue);
-            let (pool_tx, pool_rx) = sync_channel::<EventChunk>(queue + 2);
-            shard_writers.push(ChunkWriter::new(chunk_events, tx, pool_rx));
-            shard_ends.push((rx, pool_tx));
-        }
-
-        let trace_pre = trace.cloned();
-        let faults_pre = faults.cloned();
-        let budget_pre = budget.cloned();
         let producer = s.spawn(move || {
-            let body =
-                move || -> Result<(ContextInterner, PrunedEvents, ChunkStats, bool), PolyProfError> {
-                    let _span = trace_pre
-                        .as_ref()
-                        .map(|c| c.pipe_span(PipeStage::PreProfile));
-                    let mut writer = ChunkWriter::new(chunk_events, pre_tx, pre_pool_rx);
-                    if let Some(c) = &trace_pre {
-                        writer.set_trace(Arc::clone(c), 0);
-                    }
-                    let mut prof = PreProfiler::with_config(prog, structure, writer, ddg_cfg);
-                    if let Some(m) = prune {
-                        prof.set_prune_mask(m);
-                    }
-                    if let Some(p) = faults_pre {
-                        prof.set_faults(p);
-                    }
-                    if let Some(b) = budget_pre {
-                        prof.set_budget(b);
-                    }
-                    let mut vm = polyvm::Vm::new(prog);
-                    if let Some(c) = &trace_pre {
-                        if c.timing() {
-                            vm.enable_opcode_telemetry(c.tracing());
-                        }
-                    }
-                    let deadline_hit = match vm.run(&[], &mut prof) {
-                        Ok(_) => false,
-                        // The budget watchdog asked for a graceful stop: flush
-                        // what we have — downstream finalizes partial results.
-                        Err(polyvm::VmError::Aborted) => true,
-                        Err(e) => {
-                            return Err(PolyProfError::Vm {
-                                stage: "pass-2",
-                                msg: e.to_string(),
-                            })
-                        }
-                    };
-                    if let Some(c) = &trace_pre {
-                        if let Some(t) = vm.take_opcode_telemetry() {
-                            t.harvest(c);
-                        }
-                        c.add(Counter::DynOps, prof.dyn_ops);
-                        c.add(Counter::MemEvents, prof.mem_events);
-                        c.add(Counter::PrunedEvents, prof.pruned_events);
-                        c.add(Counter::PrunedMemEvents, prof.pruned_mem_events);
-                        let (hits, misses) = prof.interner.cache_stats();
-                        c.add(Counter::CtxCacheHit, hits);
-                        c.add(Counter::CtxCacheMiss, misses);
-                    }
-                    let pruned_events = PrunedEvents {
-                        reg: prof.pruned_events,
-                        mem: prof.pruned_mem_events,
-                    };
-                    let (mut writer, interner) = prof.finish();
-                    // Re-emit the pruned memory streams into the same chunk
-                    // flow. The pruned statements' access/dep keys never
-                    // appear dynamically, so appending after the trace keeps
-                    // every per-key stream in serial order (byte-identical
-                    // merge). A deadline-aborted trace is partial — skip:
-                    // synthesizing full streams would invent events the
-                    // dynamic run never reached.
-                    if let Some(sy) = &synth {
-                        if !deadline_hit {
-                            sy.synthesize(&interner, &ddg_cfg, &mut writer);
-                        }
-                    }
-                    let stats = writer.finish();
-                    if let Some(c) = &trace_pre {
-                        ChunkWriter::harvest(&stats, c, Counter::EventsEmitted);
-                    }
-                    Ok((interner, pruned_events, stats, deadline_hit))
-                };
-            catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| {
-                Err(PolyProfError::StagePanic {
-                    stage: "pre",
-                    msg: panic_msg(&*p),
-                })
+            stage("pre", || {
+                let _span = trace.map(|c| c.pipe_span(PipeStage::PreProfile));
+                let mut writer = ChunkWriter::new(chunk_events, pre_tx, pre_pool_rx);
+                if let Some(c) = trace {
+                    writer.set_trace(Arc::clone(c), 0);
+                }
+                let (writer, _, run) =
+                    drive::<_, Deferred>(prog, structure, writer, cfg, faults, trace)?;
+                Ok((run, writer.finish()))
             })
         });
 
-        let trace_res = trace.cloned();
-        let faults_res = faults.cloned();
-        let budget_res = budget.cloned();
-        let record_path: Option<PathBuf> = record.map(Path::to_path_buf);
-        type ResolverOut = (ChunkStats, u64, u64, Option<TraceWriter<BufWriter<File>>>);
         let resolver = s.spawn(move || {
-            let body = move || -> Result<ResolverOut, PolyProfError> {
-                let _span = trace_res
-                    .as_ref()
-                    .map(|c| c.pipe_span(PipeStage::ShadowResolve));
-                let timing = trace_res.as_ref().is_some_and(|c| c.timing());
+            stage("resolve", || {
+                let _span = trace.map(|c| c.pipe_span(PipeStage::ShadowResolve));
                 let mut stall_hist = Histogram::new();
-                let mut journal = trace_res.as_ref().and_then(|c| c.new_journal(TID_RESOLVE));
-                let mut shadow = ShadowResolver::new(ddg_cfg);
-                if let Some(p) = &faults_res {
+                let mut journal = trace.and_then(|c| c.new_journal(TID_RESOLVE));
+                let mut shadow = ShadowResolver::new(cfg.ddg);
+                if let Some(p) = faults {
                     shadow.set_faults(Arc::clone(p));
                 }
-                if let Some(b) = &budget_res {
+                if let Some(b) = &cfg.budget {
                     shadow.set_budget(Arc::clone(b));
                 }
-                let mut router = ShardRouter::new(shard_writers);
-                if let Some(c) = &trace_res {
-                    router.set_trace(c);
-                }
-                if let Some(p) = &faults_res {
-                    router.set_faults(p);
-                }
-                let (stats, resolved, recv_stall, rec_writer) = match &record_path {
+                // Two monomorphized calls rather than a `dyn` sink: the
+                // non-recording hot path stays statically dispatched.
+                let (routed, (resolved, recv_stall), rec) = match &cfg.record_to {
                     Some(path) => {
                         let writer = TraceWriter::create(path, prog, chunk_events)?;
                         let mut tap = Recorder::new(writer, chunk_events, router);
-                        let (resolved, recv_stall) = resolve_loop(
+                        let counts = resolve_loop(
                             &pre_rx,
                             &pre_pool_tx,
-                            trace_res.as_ref(),
-                            faults_res.as_ref(),
-                            timing,
-                            Some(&mut stall_hist),
+                            trace,
+                            faults,
+                            &mut stall_hist,
                             journal.as_mut(),
                             &mut shadow,
                             &mut tap,
                         );
                         let (router, writer) = tap.into_writer()?;
-                        (router.finish(), resolved, recv_stall, Some(writer))
+                        (router.finish(), counts, Some(writer))
                     }
                     None => {
-                        let (resolved, recv_stall) = resolve_loop(
+                        let mut router = router;
+                        let counts = resolve_loop(
                             &pre_rx,
                             &pre_pool_tx,
-                            trace_res.as_ref(),
-                            faults_res.as_ref(),
-                            timing,
-                            Some(&mut stall_hist),
+                            trace,
+                            faults,
+                            &mut stall_hist,
                             journal.as_mut(),
                             &mut shadow,
                             &mut router,
                         );
-                        (router.finish(), resolved, recv_stall, None)
+                        (router.finish(), counts, None)
                     }
                 };
-                if let Some(c) = &trace_res {
-                    c.add(Counter::EventsResolved, resolved);
-                    c.add(Counter::RecvStallNs, recv_stall);
-                    c.add(Counter::RecvStallThreads, 1);
-                    ChunkWriter::harvest(&stats, c, Counter::EventsRouted);
-                    let (hits, misses) = shadow.mru_stats();
-                    c.add(Counter::ShadowMruHit, hits);
-                    c.add(Counter::ShadowMruMiss, misses);
-                    c.add(Counter::ShadowPages, shadow.resident_pages() as u64);
+                if let Some(c) = trace {
                     c.merge_hist(HistKind::RecvStallNs, &stall_hist);
                     if let Some(j) = journal {
                         c.submit_journal(j);
                     }
                 }
-                Ok((
-                    stats,
-                    shadow.unresolved(),
-                    shadow.alloc_failures(),
-                    rec_writer,
-                ))
-            };
-            catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| {
-                Err(PolyProfError::StagePanic {
-                    stage: "resolve",
-                    msg: panic_msg(&*p),
-                })
+                Ok((shadow, routed, resolved, recv_stall, rec))
             })
         });
 
-        let workers: Vec<_> = shard_ends
-            .into_iter()
-            .enumerate()
-            .map(|(shard, (rx, pool_tx))| {
-                let trace_w = trace.cloned();
-                let faults_w = faults.cloned();
-                let budget_w = budget.cloned();
-                s.spawn(move || {
-                    let body = move || -> Result<(FoldingSink, u64), PolyProfError> {
-                        let _span = trace_w.as_ref().map(|c| c.shard_span(shard));
-                        let timing = trace_w.as_ref().is_some_and(|c| c.timing());
-                        let mut fold_hist = Histogram::new();
-                        let mut stall_hist = Histogram::new();
-                        let mut journal = trace_w
-                            .as_ref()
-                            .and_then(|c| c.new_journal(tid_shard(shard)));
-                        let mut seq = 0u64;
-                        let mut sink = FoldingSink::with_options(options);
-                        if let Some(b) = &budget_w {
-                            sink.set_budget(Arc::clone(b));
-                        }
-                        let mut malformed = 0u64;
-                        let mut recv_stall = 0u64;
-                        let mut scratch = ChunkScratch::default();
-                        while let Some(mut chunk) =
-                            recv_timed(&rx, timing, &mut recv_stall, Some(&mut stall_hist))
-                        {
-                            if let Some(c) = &trace_w {
-                                c.queue_recv(1 + shard);
-                            }
-                            if let Some(p) = &faults_w {
-                                if p.should_fire(FaultSite::PanicFold) {
-                                    panic!("injected fault: folding worker panic (shard {shard})");
-                                }
-                                // Validation runs only under an armed plan:
-                                // production chunks come from our own writer
-                                // and the check would tax the hot path.
-                                if chunk.validate().is_err() {
-                                    malformed += 1;
-                                    chunk.clear();
-                                    let _ = pool_tx.try_send(chunk);
-                                    continue;
-                                }
-                            }
-                            let opened = journal
-                                .as_mut()
-                                .is_some_and(|j| j.begin("fold-chunk", shard as u64, seq));
-                            let t0 = timing.then(Instant::now);
-                            sink.fold_chunk(&chunk, &mut scratch);
-                            if let Some(t0) = t0 {
-                                fold_hist.record(t0.elapsed().as_nanos() as u64);
-                            }
-                            if let Some(j) = journal.as_mut() {
-                                j.end(opened, "fold-chunk", shard as u64, seq);
-                            }
-                            seq += 1;
-                            chunk.clear();
-                            let _ = pool_tx.try_send(chunk);
-                        }
-                        if let Some(c) = &trace_w {
-                            let fs = sink.fold_stats();
-                            // Registers the shard slot even at zero events, so
-                            // shard balance sees every configured shard.
-                            c.record_shard_events(shard, fs.events_folded);
-                            c.add(Counter::EventsFolded, fs.events_folded);
-                            c.add(Counter::DepsFolded, fs.deps_folded);
-                            c.add(Counter::ChunksFolded, fs.chunks_folded);
-                            c.add(Counter::RecvStallNs, recv_stall);
-                            c.add(Counter::RecvStallThreads, 1);
-                            c.merge_hist(HistKind::FoldChunkNs, &fold_hist);
-                            c.merge_hist(HistKind::RecvStallNs, &stall_hist);
-                            if let Some(j) = journal {
-                                c.submit_journal(j);
-                            }
-                        }
-                        Ok((sink, malformed))
-                    };
-                    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| {
-                        Err(PolyProfError::StagePanic {
-                            stage: "fold",
-                            msg: panic_msg(&*p),
-                        })
-                    })
-                })
-            })
-            .collect();
-
         let prod = producer.join().expect("supervised stage never panics");
         let res = resolver.join().expect("supervised stage never panics");
-        let work: Vec<_> = workers
-            .into_iter()
-            .map(|h| h.join().expect("supervised stage never panics"))
-            .collect();
-        (prod, res, work)
+        (prod, res, join_workers(workers))
     });
 
     // Producer/resolver failures are unrecoverable within the attempt: the
     // event stream itself is incomplete in a way no shard merge can repair.
-    let (interner, pruned_events, pre_stats, deadline_hit) = prod?;
-    let (route_stats, unresolved, alloc_failures, rec_writer) = res?;
+    let (mut run, emitted) = prod?;
+    let (shadow, routed, resolved, recv_stall, rec_writer) = res?;
 
     // The recording's footer needs the interner (statement table), which
     // only exists once the producer has joined — write it now. A failure
     // here fails the attempt: a footer-less recording is useless.
-    if let Some(writer) = rec_writer {
-        let stats = writer.finish(&interner)?;
-        if let Some(c) = trace {
-            c.add(Counter::RecFramesWritten, stats.frames);
-            c.add(Counter::RecBytesWritten, stats.bytes);
-        }
-    }
+    let rec = match rec_writer {
+        Some(writer) => Some(writer.finish(&run.interner)?),
+        None => None,
+    };
 
-    let mut shards: Vec<Option<FoldingSink>> = Vec::with_capacity(k);
-    let mut lost_workers = Vec::new();
-    let mut malformed_chunks = 0u64;
-    for (shard, r) in work.into_iter().enumerate() {
+    let mut pipe = PipeTally {
+        emitted,
+        routed,
+        resolved,
+        recv_stall_ns: recv_stall,
+        recv_threads: 1,
+        malformed: 0,
+        lost_workers: Vec::new(),
+    };
+    let mut shards = Vec::with_capacity(work.len());
+    for (k, r) in work.into_iter().enumerate() {
         match r {
-            Ok((sink, malformed)) => {
-                malformed_chunks += malformed;
-                shards.push(Some(sink));
+            Ok(w) => {
+                pipe.malformed += w.malformed;
+                pipe.recv_stall_ns += w.recv_stall_ns;
+                pipe.recv_threads += 1;
+                shards.push(Some(w.sink));
             }
             Err(e) => {
-                lost_workers.push((shard, e.to_string()));
+                pipe.lost_workers.push((k, e.to_string()));
                 shards.push(None);
             }
         }
     }
     if shards.iter().all(Option::is_none) {
-        let (_, msg) = lost_workers.pop().expect("k >= 1");
+        let (_, msg) = pipe.lost_workers.pop().expect("k >= 1");
         return Err(PolyProfError::StagePanic { stage: "fold", msg });
     }
-
-    Ok(AttemptOk {
+    run.arena_bytes += shadow.arena_bytes();
+    Ok(Attempt {
         shards,
-        interner,
-        pruned_events,
-        dropped_chunks: pre_stats.dropped_chunks + route_stats.dropped_chunks,
-        malformed_chunks,
-        unresolved,
-        alloc_failures,
-        deadline_hit,
-        lost_workers,
+        run,
+        shadow,
+        rec,
+        pipe: Some(pipe),
     })
-}
-
-/// Supervised sibling of [`fold_pipelined_pruned`]: same stages, plus fault
-/// hooks, bounded retry, serial fallback, and a [`RunDegradation`] record of
-/// everything the run lost. Returns `Err` only when even the serial
-/// fallback cannot complete (a deterministic VM failure).
-///
-/// With `record` set, each attempt streams its resolved events into a
-/// `.ptrace` recording at that path (a retried attempt recreates the file).
-/// The serial fallback does not record — the loss is noted in the
-/// degradation report instead of failing the run.
-#[allow(clippy::too_many_arguments)]
-pub fn fold_pipelined_supervised(
-    prog: &Program,
-    structure: &StaticStructure,
-    cfg: &PipelineConfig,
-    trace: Option<&Arc<Collector>>,
-    prune: Option<Arc<PruneMask>>,
-    synth: Option<Arc<dyn MemSynth>>,
-    record: Option<&Path>,
-    res: &ResilienceConfig,
-) -> Result<(FoldedDdg, ContextInterner, PrunedEvents, RunDegradation), PolyProfError> {
-    let mut deg = RunDegradation::default();
-
-    let mut attempt_no: u32 = 0;
-    let outcome = loop {
-        match fold_attempt(
-            prog,
-            structure,
-            cfg,
-            trace,
-            prune.clone(),
-            synth.clone(),
-            res.faults.as_ref(),
-            res.budget.as_ref(),
-            record,
-        ) {
-            Ok(ok) => break Some(ok),
-            Err(e) if attempt_no < res.max_retries => {
-                attempt_no += 1;
-                deg.stage_retries += 1;
-                deg.note(
-                    "supervisor",
-                    format!("attempt {attempt_no} failed ({e}); retrying"),
-                );
-                if let Some(c) = trace {
-                    c.add(Counter::StageRetries, 1);
-                    c.timeline_instant("stage-retry", TID_DRIVER, attempt_no as u64, 0);
-                }
-                let _span = trace.map(|c| c.span(Stage::Recovery));
-                std::thread::sleep(res.backoff * attempt_no);
-                // The budget is shared across attempts; give the retry the
-                // full deadline from *its* start instead of the stale (often
-                // already-expired) instant the failed attempt armed.
-                if let Some(b) = &res.budget {
-                    b.rearm();
-                }
-            }
-            Err(e) => {
-                deg.note(
-                    "supervisor",
-                    format!("pipeline abandoned after {attempt_no} retries ({e}); serial fallback"),
-                );
-                break None;
-            }
-        }
-    };
-
-    let (ddg, interner, pruned_events) = match outcome {
-        Some(ok) => {
-            deg.dropped_chunks = ok.dropped_chunks;
-            deg.malformed_chunks = ok.malformed_chunks;
-            deg.unresolved_accesses = ok.unresolved;
-            deg.shadow_alloc_failures = ok.alloc_failures;
-            deg.deadline_hit = ok.deadline_hit;
-            for (shard, msg) in &ok.lost_workers {
-                deg.note(
-                    "fold",
-                    format!("shard {shard} lost ({msg}); output is partial"),
-                );
-            }
-            deg.budget_overapprox_stmts = ok
-                .shards
-                .iter()
-                .flatten()
-                .map(|s| s.fold_stats().budget_degraded)
-                .sum();
-            let (ddg, missing) = {
-                let _span = trace.map(|c| c.pipe_span(PipeStage::Merge));
-                finalize_shards_tolerant(ok.shards, prog, &ok.interner)
-            };
-            deg.missing_shards = missing;
-            (ddg, ok.interner, ok.pruned_events)
-        }
-        None => {
-            // Serial fallback: the trusted single-thread path, fault hooks
-            // off, budget still honored so degradation semantics survive.
-            deg.fell_back_serial = true;
-            if let Some(path) = record {
-                deg.note(
-                    "record",
-                    format!("serial fallback skipped recording to {}", path.display()),
-                );
-            }
-            if let Some(c) = trace {
-                c.add(Counter::SerialFallbacks, 1);
-                c.timeline_instant("serial-fallback", TID_DRIVER, attempt_no as u64, 0);
-            }
-            let _span = trace.map(|c| c.span(Stage::Recovery));
-            let mut sink = FoldingSink::with_options(cfg.options);
-            if let Some(b) = &res.budget {
-                sink.set_budget(Arc::clone(b));
-            }
-            let mut prof = DdgProfiler::with_config(prog, structure, sink, cfg.ddg);
-            if let Some(m) = prune {
-                prof.set_prune_mask(m);
-            }
-            if let Some(b) = &res.budget {
-                prof.set_budget(Arc::clone(b));
-            }
-            let mut vm = polyvm::Vm::new(prog);
-            if let Some(c) = trace {
-                if c.timing() {
-                    vm.enable_opcode_telemetry(c.tracing());
-                }
-            }
-            match vm.run(&[], &mut prof) {
-                Ok(_) => {}
-                Err(polyvm::VmError::Aborted) => deg.deadline_hit = true,
-                Err(e) => {
-                    return Err(PolyProfError::Vm {
-                        stage: "pass-2",
-                        msg: e.to_string(),
-                    })
-                }
-            }
-            if let (Some(c), Some(t)) = (trace, vm.take_opcode_telemetry()) {
-                t.harvest(c);
-            }
-            let pruned_events = PrunedEvents {
-                reg: prof.pruned_events,
-                mem: prof.pruned_mem_events,
-            };
-            let (mut sink, interner) = prof.finish();
-            // Same contract as the pipelined producer: re-emit pruned memory
-            // streams, unless the trace is deadline-partial.
-            if let Some(sy) = &synth {
-                if !deg.deadline_hit {
-                    sy.synthesize(&interner, &cfg.ddg, &mut sink);
-                }
-            }
-            deg.budget_overapprox_stmts = sink.fold_stats().budget_degraded;
-            let ddg = sink.finalize(prog, &interner);
-            (ddg, interner, pruned_events)
-        }
-    };
-
-    if let Some(b) = &res.budget {
-        deg.budget_pressure = b.under_pressure();
-        deg.peak_tracked_bytes = b.peak_bytes();
-        if b.deadline_was_hit() {
-            deg.deadline_hit = true;
-        }
-    }
-    if let Some(p) = &res.faults {
-        let alloc_seen = deg.shadow_alloc_failures;
-        deg.absorb_plan(p);
-        // `absorb_plan` reports plan-fired allocation faults; keep whichever
-        // count is larger in case a retried attempt saw real failures too.
-        deg.shadow_alloc_failures = deg.shadow_alloc_failures.max(alloc_seen);
-    }
-    if let Some(c) = trace {
-        c.add(Counter::FaultsInjected, deg.faults_injected);
-        c.add(Counter::UnresolvedAccesses, deg.unresolved_accesses);
-        c.add(Counter::BudgetOverapprox, deg.budget_overapprox_stmts);
-        if deg.deadline_hit {
-            c.add(Counter::DeadlineHits, 1);
-            c.timeline_instant("deadline-hit", TID_DRIVER, 0, 0);
-        }
-        if deg.budget_pressure {
-            c.timeline_instant("budget-pressure", TID_DRIVER, deg.peak_tracked_bytes, 0);
-        }
-    }
-
-    Ok((ddg, interner, pruned_events, deg))
 }
 
 /// Finalize every present shard in parallel (the vendored rayon stand-in has
 /// no owned `into_par_iter`, hence the one-element-chunk option dance), then
 /// merge deterministically; absent shards are reported back by index.
-fn finalize_shards_tolerant(
+pub(crate) fn finalize_shards_tolerant(
     shards: Vec<Option<FoldingSink>>,
     prog: &Program,
     interner: &ContextInterner,
@@ -876,21 +885,6 @@ fn finalize_shards_tolerant(
             }
         });
     FoldedDdg::merge_parts_tolerant(parts)
-}
-
-/// Pipelined sibling of [`fold_program`](crate::fold_program): pass 1
-/// (structure) then the staged pass 2.
-pub fn fold_program_pipelined(
-    prog: &Program,
-    cfg: &PipelineConfig,
-) -> (FoldedDdg, ContextInterner, StaticStructure) {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog)
-        .run(&[], &mut rec)
-        .expect("pass-1 execution failed");
-    let structure = StaticStructure::analyze(prog, rec);
-    let (ddg, interner) = fold_pipelined(prog, &structure, cfg);
-    (ddg, interner, structure)
 }
 
 #[cfg(test)]
@@ -926,17 +920,22 @@ mod tests {
         }
     }
 
-    fn supervised(
-        p: &Program,
-        cfg: &PipelineConfig,
-        res: &ResilienceConfig,
-    ) -> (FoldedDdg, RunDegradation) {
+    fn structure_of(p: &Program) -> StaticStructure {
         let mut rec = polycfg::StructureRecorder::new();
         polyvm::Vm::new(p).run(&[], &mut rec).unwrap();
-        let structure = StaticStructure::analyze(p, rec);
-        let (ddg, _, _, deg) =
-            fold_pipelined_supervised(p, &structure, cfg, None, None, None, None, res).unwrap();
+        StaticStructure::analyze(p, rec)
+    }
+
+    fn supervised(p: &Program, cfg: &PipelineConfig) -> (FoldedDdg, RunDegradation) {
+        let (ddg, _, _, deg) = fold(p, &structure_of(p), cfg, None).unwrap();
         (ddg, deg)
+    }
+
+    fn with_faults(plan: FaultPlan, k: usize) -> PipelineConfig {
+        PipelineConfig {
+            faults: Some(Arc::new(plan)),
+            ..tiny_cfg(k)
+        }
     }
 
     /// Smallest possible end-to-end check: shard counts and chunk sizes must
@@ -947,8 +946,7 @@ mod tests {
         let p = stencil_prog();
         let (serial, _, _) = fold_program(&p);
         for k in [1usize, 3] {
-            let cfg = tiny_cfg(k);
-            let (piped, _, _) = fold_program_pipelined(&p, &cfg);
+            let (piped, _) = supervised(&p, &tiny_cfg(k));
             assert_eq!(piped.total_ops, serial.total_ops, "k={k}");
             assert_eq!(piped.n_stmts(), serial.n_stmts(), "k={k}");
             assert_eq!(piped.deps.len(), serial.deps.len(), "k={k}");
@@ -970,7 +968,7 @@ mod tests {
                 ..Default::default()
             };
             // Sanity: a valid run inside catch_unwind works.
-            let _ = fold_program_pipelined(&p, &cfg);
+            let _ = supervised(&p, &cfg);
             panic!("deliberate: payload must survive");
         });
         let payload = res.expect_err("panic expected");
@@ -978,13 +976,13 @@ mod tests {
         assert!(msg.contains("deliberate"), "payload lost");
     }
 
-    /// With no faults and no budget, the supervised path must reproduce the
-    /// plain pipeline exactly — the hooks are zero-cost `None` branches.
+    /// With no faults and no budget, the supervised pipeline must reproduce
+    /// the inline fold exactly — the hooks are zero-cost `None` branches.
     #[test]
     fn supervised_fault_free_matches_plain() {
         let p = stencil_prog();
         let (serial, _, _) = fold_program(&p);
-        let (ddg, deg) = supervised(&p, &tiny_cfg(2), &ResilienceConfig::default());
+        let (ddg, deg) = supervised(&p, &tiny_cfg(2));
         assert!(!deg.is_degraded(), "{deg:?}");
         assert_eq!(ddg.total_ops, serial.total_ops);
         assert_eq!(ddg.n_stmts(), serial.n_stmts());
@@ -998,11 +996,8 @@ mod tests {
     fn one_shot_resolve_panic_retries_to_full_result() {
         let p = stencil_prog();
         let (serial, _, _) = fold_program(&p);
-        let res = ResilienceConfig {
-            faults: Some(Arc::new(FaultPlan::single(FaultSite::PanicResolve, 1))),
-            ..Default::default()
-        };
-        let (ddg, deg) = supervised(&p, &tiny_cfg(2), &res);
+        let cfg = with_faults(FaultPlan::single(FaultSite::PanicResolve, 1), 2);
+        let (ddg, deg) = supervised(&p, &cfg);
         assert_eq!(deg.stage_retries, 1, "{deg:?}");
         assert!(!deg.fell_back_serial);
         assert!(deg.faults_injected >= 1);
@@ -1016,11 +1011,8 @@ mod tests {
     fn fold_worker_panic_yields_partial_result() {
         let p = stencil_prog();
         let (serial, _, _) = fold_program(&p);
-        let res = ResilienceConfig {
-            faults: Some(Arc::new(FaultPlan::single(FaultSite::PanicFold, 1))),
-            ..Default::default()
-        };
-        let (ddg, deg) = supervised(&p, &tiny_cfg(3), &res);
+        let cfg = with_faults(FaultPlan::single(FaultSite::PanicFold, 1), 3);
+        let (ddg, deg) = supervised(&p, &cfg);
         assert_eq!(deg.stage_retries, 0, "worker loss is salvaged, not retried");
         assert_eq!(deg.missing_shards.len(), 1, "{deg:?}");
         assert!(deg.is_degraded());
@@ -1036,13 +1028,12 @@ mod tests {
     fn persistent_panic_falls_back_serial() {
         let p = stencil_prog();
         let (serial, _, _) = fold_program(&p);
-        let res = ResilienceConfig {
-            faults: Some(Arc::new(FaultPlan::always(FaultSite::PanicResolve))),
+        let cfg = PipelineConfig {
             max_retries: 1,
             backoff: Duration::from_millis(1),
-            ..Default::default()
+            ..with_faults(FaultPlan::always(FaultSite::PanicResolve), 2)
         };
-        let (ddg, deg) = supervised(&p, &tiny_cfg(2), &res);
+        let (ddg, deg) = supervised(&p, &cfg);
         assert!(deg.fell_back_serial, "{deg:?}");
         assert_eq!(deg.stage_retries, 1);
         assert_eq!(ddg.total_ops, serial.total_ops, "fallback is lossless");
@@ -1054,11 +1045,8 @@ mod tests {
     #[test]
     fn dropped_chunk_completes_with_degradation() {
         let p = stencil_prog();
-        let res = ResilienceConfig {
-            faults: Some(Arc::new(FaultPlan::single(FaultSite::DropSend, 1))),
-            ..Default::default()
-        };
-        let (_, deg) = supervised(&p, &tiny_cfg(2), &res);
+        let cfg = with_faults(FaultPlan::single(FaultSite::DropSend, 1), 2);
+        let (_, deg) = supervised(&p, &cfg);
         assert!(deg.dropped_chunks >= 1, "{deg:?}");
         assert!(deg.is_degraded());
     }
@@ -1068,11 +1056,8 @@ mod tests {
     #[test]
     fn malformed_chunk_rejected_and_counted() {
         let p = stencil_prog();
-        let res = ResilienceConfig {
-            faults: Some(Arc::new(FaultPlan::single(FaultSite::MalformedChunk, 1))),
-            ..Default::default()
-        };
-        let (_, deg) = supervised(&p, &tiny_cfg(2), &res);
+        let cfg = with_faults(FaultPlan::single(FaultSite::MalformedChunk, 1), 2);
+        let (_, deg) = supervised(&p, &cfg);
         assert_eq!(deg.malformed_chunks, 1, "{deg:?}");
         assert!(deg.is_degraded());
     }
@@ -1082,11 +1067,8 @@ mod tests {
     #[test]
     fn shadow_alloc_fault_counted_as_unresolved() {
         let p = stencil_prog();
-        let res = ResilienceConfig {
-            faults: Some(Arc::new(FaultPlan::single(FaultSite::AllocShadow, 1))),
-            ..Default::default()
-        };
-        let (_, deg) = supervised(&p, &tiny_cfg(2), &res);
+        let cfg = with_faults(FaultPlan::single(FaultSite::AllocShadow, 1), 2);
+        let (_, deg) = supervised(&p, &cfg);
         assert_eq!(deg.shadow_alloc_failures, 1, "{deg:?}");
         assert!(deg.unresolved_accesses >= 1, "{deg:?}");
     }

@@ -2,23 +2,22 @@
 //!
 //! A recording holds the fully-resolved folding-interface stream, so replay
 //! needs neither the VM nor the shadow resolver: [`fold_recording`] decodes
-//! frames back into recycled [`EventChunk`]s and folds them — serially for
-//! K ≤ 1, or through the same [`ShardRouter`] → K-worker shape as the live
-//! pipeline for K > 1. Sharding is by folding key with per-key serial order
+//! frames back into recycled [`EventChunk`]s and folds them — in line for
+//! K ≤ 1, or through the live pipeline's own shard edge and fold-worker
+//! stage for K > 1. Sharding is by folding key with per-key serial order
 //! preserved, so the replayed [`FoldedDdg`] is byte-identical (see
 //! [`FoldedDdg::canonical_text`]) to the live fold at *every* K — the
 //! invariant the CI replay gate enforces.
 
+use crate::pipeline::{harvest_folds, join_workers, spawn_fold_workers, PipelineConfig};
 use crate::{ChunkScratch, FoldOptions, FoldedDdg, FoldingSink};
-use polyddg::chunk::{ChunkWriter, EventChunk};
-use polyddg::pipeline::ShardRouter;
+use polyddg::chunk::EventChunk;
 use polyiiv::context::ContextInterner;
 use polyir::Program;
 use polyrec::{program_hash, ReadStats, TraceReader};
 use polyresist::PolyProfError;
-use polytrace::{Collector, Counter};
+use polytrace::{Collector, Counter, Stage};
 use std::path::Path;
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
 /// Fold a recording at `path` into a [`FoldedDdg`] using `fold_threads`
@@ -34,6 +33,7 @@ pub fn fold_recording(
     options: FoldOptions,
     trace: Option<&Arc<Collector>>,
 ) -> Result<(FoldedDdg, ContextInterner), PolyProfError> {
+    let _span = trace.map(|c| c.span(Stage::Profile));
     let mut reader = TraceReader::open(path)?;
     let want = program_hash(prog);
     let got = reader.meta().program_hash;
@@ -56,85 +56,59 @@ pub fn fold_recording(
             sink.fold_chunk(&chunk, &mut scratch);
         }
         let (interner, stats) = reader.finish()?;
-        (vec![sink], interner, stats)
+        (vec![Some(sink)], interner, stats)
     } else {
         fold_replay_sharded(reader, k, options)?
     };
     if let Some(c) = trace {
         c.add(Counter::RecFramesRead, stats.frames);
         c.add(Counter::RecBytesRead, stats.bytes);
-        for sink in &sinks {
-            let fs = sink.fold_stats();
-            c.add(Counter::EventsFolded, fs.events_folded);
-            c.add(Counter::DepsFolded, fs.deps_folded);
-            c.add(Counter::ChunksFolded, fs.chunks_folded);
-        }
+        harvest_folds(c, &sinks, false);
     }
     let parts = sinks
         .into_iter()
+        .flatten()
         .map(|s| s.finalize(prog, &interner))
         .collect::<Vec<_>>();
     Ok((FoldedDdg::merge_parts(parts), interner))
 }
 
-/// K > 1 replay: a reader thread decodes frames and routes the events by
-/// folding key into K worker channels (the live pipeline's stage-2 → stage-3
-/// edge, minus the VM and resolver in front of it).
-fn fold_replay_sharded<R: std::io::Read + Send>(
+/// K > 1 replay: decode frames on the calling thread and route them by
+/// folding key into the pipeline's K fold workers (the live pipeline's
+/// stage-2 → stage-3 edge, minus the VM and resolver in front of it).
+fn fold_replay_sharded<R: std::io::Read>(
     mut reader: TraceReader<R>,
     k: usize,
     options: FoldOptions,
-) -> Result<(Vec<FoldingSink>, ContextInterner, ReadStats), PolyProfError> {
-    // Mirror the live pipeline's defaults for batching and backpressure.
-    let chunk_events = reader.meta().chunk_events.max(1) as usize;
-    let queue = 4;
-
-    std::thread::scope(|s| {
-        let mut shard_writers = Vec::with_capacity(k);
-        let mut shard_ends = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (tx, rx) = sync_channel::<EventChunk>(queue);
-            let (pool_tx, pool_rx) = sync_channel::<EventChunk>(queue + 2);
-            shard_writers.push(ChunkWriter::new(chunk_events, tx, pool_rx));
-            shard_ends.push((rx, pool_tx));
-        }
-
-        let feeder = s.spawn(
-            move || -> Result<(ContextInterner, ReadStats), PolyProfError> {
-                let mut router = ShardRouter::new(shard_writers);
-                let mut chunk = EventChunk::default();
-                while reader.next_chunk(&mut chunk)? {
-                    // Recordings carry only resolved events, so replay_into
-                    // (which rejects MemPre) is safe by construction.
-                    chunk.replay_into(&mut router);
-                }
-                router.finish();
-                reader.finish()
-            },
-        );
-
-        let workers: Vec<_> = shard_ends
-            .into_iter()
-            .map(|(rx, pool_tx)| {
-                s.spawn(move || {
-                    let mut sink = FoldingSink::with_options(options);
-                    let mut scratch = ChunkScratch::default();
-                    while let Ok(mut chunk) = rx.recv() {
-                        sink.fold_chunk(&chunk, &mut scratch);
-                        chunk.clear();
-                        let _ = pool_tx.try_send(chunk);
-                    }
-                    sink
-                })
-            })
-            .collect();
-
-        let fed = feeder.join().expect("replay feeder never panics");
-        let sinks: Vec<FoldingSink> = workers
-            .into_iter()
-            .map(|h| h.join().expect("replay worker never panics"))
-            .collect();
-        let (interner, stats) = fed?;
-        Ok((sinks, interner, stats))
-    })
+) -> Result<(Vec<Option<FoldingSink>>, ContextInterner, ReadStats), PolyProfError> {
+    // The live pipeline's batching and backpressure, at the recording's
+    // chunk size.
+    let cfg = PipelineConfig {
+        fold_threads: k,
+        chunk_events: reader.meta().chunk_events.max(1) as usize,
+        options,
+        ..Default::default()
+    };
+    let (fed, shards) = std::thread::scope(|s| {
+        let (mut router, workers) = spawn_fold_workers(s, &cfg, None);
+        let mut chunk = EventChunk::default();
+        let fed = (|| {
+            while reader.next_chunk(&mut chunk)? {
+                // Recordings carry only resolved events, so replay_into
+                // (which rejects MemPre) is safe by construction.
+                chunk.replay_into(&mut router);
+            }
+            Ok::<_, PolyProfError>(())
+        })();
+        // Closing the shard channels lets the workers drain and exit.
+        router.finish();
+        (fed, join_workers(workers))
+    });
+    fed?;
+    let sinks = shards
+        .into_iter()
+        .map(|r| r.map(|w| Some(w.sink)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (interner, stats) = reader.finish()?;
+    Ok((sinks, interner, stats))
 }

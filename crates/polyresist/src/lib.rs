@@ -586,7 +586,7 @@ pub struct RunDegradation {
     pub faults_injected: u64,
     /// Supervised pipeline attempts that were retried after a stage panic.
     pub stage_retries: u32,
-    /// The pipelined path was abandoned for the retained serial path.
+    /// The pipelined path was abandoned for the inline (serial) executor.
     pub fell_back_serial: bool,
     /// Event chunks dropped in flight (injected or send-error).
     pub dropped_chunks: u64,

@@ -153,14 +153,33 @@ fn rate_limit_rejects_with_backoff_hint_and_retry_succeeds() {
         ..Default::default()
     };
     let server = serve("127.0.0.1:0", cfg, registry()).unwrap();
-    let mut c = Client::connect(server.addr()).unwrap();
     let opts = tenant_opts("burst");
+    // The burst is four concurrent submissions released together, so all
+    // four reach admission within a fraction of one refill interval (50 ms).
+    // Submitting them one after another would wait out each session and let
+    // the bucket refill in between, whatever the session's wall time.
+    let mut clients: Vec<Client> = (0..4)
+        .map(|_| Client::connect(server.addr()).unwrap())
+        .collect();
+    let go = std::sync::Barrier::new(clients.len());
+    let outcomes: Vec<Outcome> = std::thread::scope(|s| {
+        let handles: Vec<_> = clients
+            .iter_mut()
+            .map(|c| {
+                let (go, opts) = (&go, &opts);
+                s.spawn(move || {
+                    go.wait();
+                    c.submit(Submission::Program { workload: "fig6" }, opts)
+                        .unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut c = clients.pop().unwrap();
     let mut overloaded = 0;
-    for _ in 0..4 {
-        match c
-            .submit(Submission::Program { workload: "fig6" }, &opts)
-            .unwrap()
-        {
+    for outcome in outcomes {
+        match outcome {
             Outcome::Overloaded {
                 retry_after_ms,
                 reason,

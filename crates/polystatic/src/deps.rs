@@ -373,8 +373,8 @@ type Cell = (Option<(StmtId, Vec<i64>)>, Option<(StmtId, Vec<i64>)>);
 impl MemSynth for StaticDeps {
     /// Re-emit every pruned partition's event streams in exact dynamic
     /// order: lexicographic trip points × instruction index, replaying the
-    /// shadow-cell automaton (`DdgProfiler::mem`) over a local map. Honors
-    /// `cfg.track_anti`/`track_output` the way the profiler does.
+    /// shadow-cell automaton (`ShadowResolver::resolve`) over a local map.
+    /// Honors `cfg.track_anti`/`track_output` the way the profiler does.
     fn synthesize(&self, interner: &ContextInterner, cfg: &DdgConfig, sink: &mut dyn FoldSink) {
         // Pruned sites intern exactly one statement (`runs_once`), or none
         // when their block never executed.

@@ -1,26 +1,20 @@
-//! Parity tests for the adaptive fold executor: whatever executor the
-//! calibration picks — inline folding on the profiling thread or K-shard
-//! pipelining — the folded DDG must be **byte-identical**. The adaptive
-//! knob may only ever trade wall-clock, never output.
-//!
-//! The decision branch in `try_profile_with` reduces to a resolved
-//! `fold_threads`, so parity is pinned two ways: (a) forcing each executor
-//! the decision can select (inline, and the pipeline at K ∈ {1, 2, 8}) and
-//! comparing canonical renderings, and (b) running the adaptive path
-//! end-to-end against the fixed serial baseline.
+//! Output-neutrality of the pass-2 execution knobs on the synthetic
+//! kernels: the choice of fold executor (inline, or the K-shard pipeline)
+//! and of fit verifier (integer fast path, or rational only) may only ever
+//! trade wall-clock, never the folded DDG. The wider matrix (replay,
+//! supervised runs, Rodinia workloads) is in `tests/executor_parity.rs`.
 
 mod common;
 
-use common::{canon, elementwise, stencil};
-use polyprof_core::polyfold::pipeline::{fold_program_pipelined, PipelineConfig};
-use polyprof_core::polyfold::{self, adaptive, FoldOptions};
-use polyprof_core::polytrace::Counter;
-use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
+use common::{canon, elementwise, fold_with, stencil};
+use polyprof_core::polyfold;
+use polyprof_core::polyfold::pipeline::PipelineConfig;
+use polyprof_core::polyfold::FoldOptions;
 
-/// Every executor the adaptive decision can pick folds the same trace to
-/// the same bytes: inline (the serial sink) and the pipeline at K ∈
-/// {1, 2, 8} with tiny chunks (so the batched chunk folder crosses many
-/// flush boundaries).
+/// Every executor `pipeline::fold` can select folds the same trace to the
+/// same bytes: `fold_program` (inline) and the pipeline at K ∈ {1, 2, 8}
+/// with tiny chunks (so the batched chunk folder crosses many flush
+/// boundaries).
 #[test]
 fn all_selectable_executors_are_byte_identical() {
     for prog in [stencil(10, 3), elementwise(12, 2)] {
@@ -31,7 +25,7 @@ fn all_selectable_executors_are_byte_identical() {
                 chunk_events: 64,
                 ..Default::default()
             };
-            let piped = canon(&fold_program_pipelined(&prog, &cfg).0);
+            let piped = canon(&fold_with(&prog, &cfg));
             assert_eq!(serial.0, piped.0, "statements differ at K={k}");
             assert_eq!(serial.1, piped.1, "dependences differ at K={k}");
             assert_eq!(serial.2, piped.2, "accesses differ at K={k}");
@@ -39,54 +33,32 @@ fn all_selectable_executors_are_byte_identical() {
     }
 }
 
-/// End-to-end: an adaptive run reproduces the fixed serial report exactly,
-/// whichever executor the calibration picked on this machine. Checked at
-/// several requested shard counts so both decision outcomes are covered on
-/// multi-CPU boxes.
-#[test]
-fn adaptive_profile_matches_serial_report() {
-    let prog = stencil(9, 2);
-    let base = profile_with(&prog, &ProfileConfig::new());
-    for k in [1usize, 2, 8] {
-        let adaptive = profile_with(
-            &prog,
-            &ProfileConfig::new()
-                .with_adaptive(true)
-                .with_fold_threads(k)
-                .with_chunk_events(128),
-        );
-        assert_eq!(adaptive.folded_stats, base.folded_stats, "k={k}");
-        assert_eq!(adaptive.scev_removed, base.scev_removed, "k={k}");
-        assert_eq!(adaptive.annotated_ast, base.annotated_ast, "k={k}");
-    }
-}
-
-/// The decision is observable: an adaptive run with counters on records the
-/// chosen shard count (≥ 1 — even the inline decision reports itself).
-#[test]
-fn adaptive_decision_is_recorded() {
-    let prog = elementwise(8, 1);
-    let r = profile_with(
-        &prog,
-        &ProfileConfig::new()
-            .with_adaptive(true)
-            .with_metrics(MetricsLevel::Counters),
-    );
-    let m = r.metrics.expect("counters on");
-    let shards = m.counter(Counter::AdaptiveShards);
-    assert!(shards >= 1, "decision not recorded: {shards}");
-    let d = adaptive::decide(2, 4096, FoldOptions::default());
-    assert!(d.fold_threads >= 1);
-}
-
-/// The fast-path knob is also output-neutral end-to-end: a rational-only
-/// run is byte-identical to the default fast-path run.
+/// The fit-verifier knob is output-neutral: a rational-only fold
+/// (`FoldOptions::fast_fit` off) is byte-identical to the default
+/// fast-path fold, inline and pipelined.
 #[test]
 fn fast_fit_off_matches_default() {
     let prog = stencil(10, 3);
-    let fast = profile_with(&prog, &ProfileConfig::new());
-    let slow = profile_with(&prog, &ProfileConfig::new().with_fast_fit(false));
-    assert_eq!(fast.folded_stats, slow.folded_stats);
-    assert_eq!(fast.scev_removed, slow.scev_removed);
-    assert_eq!(fast.annotated_ast, slow.annotated_ast);
+    for k in [0usize, 2] {
+        let fast = fold_with(
+            &prog,
+            &PipelineConfig {
+                fold_threads: k,
+                ..Default::default()
+            },
+        );
+        let slow = fold_with(
+            &prog,
+            &PipelineConfig {
+                fold_threads: k,
+                options: FoldOptions {
+                    fast_fit: false,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        assert_eq!(canon(&fast), canon(&slow), "K={k}");
+        assert_eq!(fast.canonical_text(), slow.canonical_text(), "K={k}");
+    }
 }

@@ -7,7 +7,18 @@
 
 use polyir::build::ProgramBuilder;
 use polyir::Program;
+use polyprof_core::polyfold::pipeline::{fold, PipelineConfig};
 use polyprof_core::polyfold::FoldedDdg;
+use polyprof_core::{polycfg, polyvm};
+
+/// Pass 1, then pass 2 through `polyfold::pipeline::fold` under `cfg`
+/// (`fold_threads: 0` folds inline); the folded DDG.
+pub fn fold_with(prog: &Program, cfg: &PipelineConfig) -> FoldedDdg {
+    let mut rec = polycfg::StructureRecorder::new();
+    polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
+    let structure = polycfg::StaticStructure::analyze(prog, rec);
+    fold(prog, &structure, cfg, None).expect("pass 2").0
+}
 
 /// Canonical, order-independent rendering of a folded DDG: sorted statement
 /// and access rows plus the (already deterministically sorted) dependence

@@ -24,11 +24,11 @@ fn run(fold_threads: usize, level: MetricsLevel) -> RunMetrics {
 
 /// Every event the router ships lands in exactly one folding shard and
 /// produces exactly one fold call: routed == per-shard sum == folded, at
-/// every K. (K = 1 still pipelines here — `profile_with` would take the
-/// serial path, so the one-shard case drives the pipeline directly.)
+/// every K. (K = 1 still pipelines here — `profile_with` would fold
+/// inline, so the one-shard case drives the pipeline directly.)
 #[test]
 fn routed_events_equal_folded_events_at_every_k() {
-    use polyprof_core::polyfold::pipeline::{fold_pipelined_traced, PipelineConfig};
+    use polyprof_core::polyfold::pipeline::{fold, PipelineConfig};
     use polyprof_core::polytrace::Collector;
     use std::sync::Arc;
 
@@ -45,7 +45,7 @@ fn routed_events_equal_folded_events_at_every_k() {
             chunk_events: 64,
             ..Default::default()
         };
-        let _ = fold_pipelined_traced(&prog, &structure, &pcfg, Some(&col));
+        fold(&prog, &structure, &pcfg, Some(&col)).unwrap();
         col.snapshot(0)
     };
     for (k, m) in [
@@ -130,6 +130,45 @@ fn counters_agree_between_serial_and_pipelined() {
                 "k={k}: {} diverged",
                 c.name()
             );
+        }
+    }
+}
+
+/// Pass-2 counters describe the attempt whose output the run returns: a
+/// pipeline attempt retried after a one-shot resolver panic, and a run that
+/// falls back to the inline executor after persistent panics, each count
+/// the trace exactly once — the same dynamic ops and folded events as a
+/// clean run.
+#[test]
+fn counters_count_only_the_returned_attempt() {
+    use polyprof_core::polyresist::{FaultPlan, FaultSite};
+    use std::sync::Arc;
+
+    let w = rodinia::backprop::build();
+    let cfg = ProfileConfig::new()
+        .with_fold_threads(2)
+        .with_metrics(MetricsLevel::Counters);
+    let clean = profile_with(&w.program, &cfg).metrics.unwrap();
+    for (name, plan, fell_back) in [
+        (
+            "retry",
+            FaultPlan::single(FaultSite::PanicResolve, 1),
+            false,
+        ),
+        ("fallback", FaultPlan::always(FaultSite::PanicResolve), true),
+    ] {
+        let r = profile_with(
+            &w.program,
+            &cfg.clone()
+                .with_max_retries(1)
+                .with_fault_plan(Arc::new(plan)),
+        );
+        assert!(r.degradation.stage_retries >= 1, "{:?}", r.degradation);
+        assert_eq!(r.degradation.fell_back_serial, fell_back);
+        let m = r.metrics.unwrap();
+        assert_eq!(m.counter(Counter::DynOps), r.folded_stats.2, "{name}");
+        for c in [Counter::DynOps, Counter::MemEvents, Counter::EventsFolded] {
+            assert_eq!(m.counter(c), clean.counter(c), "{name}: {}", c.name());
         }
     }
 }

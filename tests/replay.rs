@@ -13,9 +13,7 @@
 mod common;
 
 use common::{deep_nest, elementwise, stencil};
-use polyprof_core::polyfold::pipeline::{
-    fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
-};
+use polyprof_core::polyfold::pipeline::{fold, PipelineConfig};
 use polyprof_core::polyfold::{self, replay::fold_recording, FoldOptions, FoldedDdg};
 use polyprof_core::polyrec::{FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF, MAGIC};
 use polyprof_core::polyresist::PolyProfError;
@@ -41,19 +39,11 @@ fn record_live(prog: &Program, path: &Path, fold_threads: usize) -> FoldedDdg {
     let cfg = PipelineConfig {
         fold_threads,
         chunk_events: 64,
+        record_to: Some(path.to_path_buf()),
         ..Default::default()
     };
-    let (ddg, _, _, deg) = fold_pipelined_supervised(
-        prog,
-        &structure,
-        &cfg,
-        None,
-        None,
-        None,
-        Some(path),
-        &ResilienceConfig::default(),
-    )
-    .expect("recording fold must complete");
+    let (ddg, _, _, deg) =
+        fold(prog, &structure, &cfg, None).expect("recording fold must complete");
     assert!(
         !deg.is_degraded(),
         "recording a healthy run must not degrade: {deg:?}"

@@ -12,19 +12,19 @@
 mod common;
 
 use common::{canon, stencil};
-use polyprof_core::polyfold::pipeline::{
-    fold_pipelined_supervised, fold_program_pipelined, PipelineConfig, ResilienceConfig,
-};
+use polyprof_core::polyfold::pipeline::{fold, PipelineConfig};
 use polyprof_core::polyfold::{self, FoldedDdg, FoldingSink};
 use polyprof_core::polyresist::{FaultPlan, FaultSite, ResourceBudget, RunDegradation};
 use polyprof_core::{profile_with, try_profile_with, ProfileConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// A pipelined fold at `k` shards under the fault plan `plan` (none when
+/// `None`).
 fn supervised_fold(
     prog: &polyprof_core::polyir::Program,
     k: usize,
-    res: &ResilienceConfig,
+    plan: Option<&str>,
 ) -> (FoldedDdg, RunDegradation) {
     let mut rec = polyprof_core::polycfg::StructureRecorder::new();
     polyprof_core::polyvm::Vm::new(prog)
@@ -34,11 +34,11 @@ fn supervised_fold(
     let cfg = PipelineConfig {
         fold_threads: k,
         chunk_events: 64,
+        faults: plan.map(|p| Arc::new(FaultPlan::parse(p).unwrap())),
         ..Default::default()
     };
     let (ddg, _, _, deg) =
-        fold_pipelined_supervised(prog, &structure, &cfg, None, None, None, None, res)
-            .expect("supervised fold must complete");
+        fold(prog, &structure, &cfg, None).expect("supervised fold must complete");
     (ddg, deg)
 }
 
@@ -93,21 +93,8 @@ fn every_fault_class_completes_with_degradation() {
 #[test]
 fn stalled_send_is_lossless() {
     let prog = stencil(9, 2);
-    let clean = {
-        let cfg = PipelineConfig {
-            fold_threads: 2,
-            chunk_events: 64,
-            ..Default::default()
-        };
-        fold_program_pipelined(&prog, &cfg).0
-    };
-    let res = ResilienceConfig {
-        faults: Some(Arc::new(
-            FaultPlan::parse("stall:send@2;stall_ms=5").unwrap(),
-        )),
-        ..Default::default()
-    };
-    let (ddg, deg) = supervised_fold(&prog, 2, &res);
+    let clean = supervised_fold(&prog, 2, None).0;
+    let (ddg, deg) = supervised_fold(&prog, 2, Some("stall:send@2;stall_ms=5"));
     assert_eq!(deg.stalled_sends, 1);
     assert_eq!(canon(&clean), canon(&ddg), "a stall must not lose events");
 }
@@ -117,21 +104,8 @@ fn stalled_send_is_lossless() {
 #[test]
 fn armed_but_unfired_plan_is_byte_identical() {
     let prog = stencil(10, 3);
-    let clean = {
-        let cfg = PipelineConfig {
-            fold_threads: 3,
-            chunk_events: 64,
-            ..Default::default()
-        };
-        fold_program_pipelined(&prog, &cfg).0
-    };
-    let res = ResilienceConfig {
-        faults: Some(Arc::new(
-            FaultPlan::parse("panic:fold@999999999;drop:send@999999999").unwrap(),
-        )),
-        ..Default::default()
-    };
-    let (ddg, deg) = supervised_fold(&prog, 3, &res);
+    let clean = supervised_fold(&prog, 3, None).0;
+    let (ddg, deg) = supervised_fold(&prog, 3, Some("panic:fold@999999999;drop:send@999999999"));
     assert_eq!(deg.faults_injected, 0);
     assert!(!deg.is_degraded(), "{deg:?}");
     assert_eq!(canon(&clean), canon(&ddg));

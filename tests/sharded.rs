@@ -1,7 +1,7 @@
 //! Differential tests for the sharded folding pipeline: a pipelined run —
 //! event generation, shadow resolution, and K folding shards on separate
 //! threads — must produce *byte-identical* folded DDGs and reports to the
-//! retained serial path, for every shard count, on randomized elementwise,
+//! inline executor, for every shard count, on randomized elementwise,
 //! stencil, and deep-nest (arena-spilling) traces.
 //!
 //! Why this must hold: every folding key (statement id; `(kind, src, dst,
@@ -12,9 +12,9 @@
 
 mod common;
 
-use common::{canon, deep_nest, elementwise, stencil};
+use common::{canon, deep_nest, elementwise, fold_with, stencil};
 use polyir::Program;
-use polyprof_core::polyfold::pipeline::{fold_program_pipelined, PipelineConfig};
+use polyprof_core::polyfold::pipeline::PipelineConfig;
 use polyprof_core::polyfold::{self, FoldedDdg};
 use polyprof_core::{profile_with, ProfileConfig};
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ fn fold_sharded(prog: &Program, k: usize, chunk_events: usize) -> FoldedDdg {
         chunk_events,
         ..Default::default()
     };
-    fold_program_pipelined(prog, &cfg).0
+    fold_with(prog, &cfg)
 }
 
 /// Canonical renderings must match byte-for-byte at K ∈ {1, 2, 8}. Chunks
@@ -127,6 +127,6 @@ fn sharded_parity_without_class_split() {
         options,
         ..Default::default()
     };
-    let (sharded, _, _) = fold_program_pipelined(&prog, &cfg);
+    let sharded = fold_with(&prog, &cfg);
     assert_eq!(canon(&serial), canon(&sharded));
 }

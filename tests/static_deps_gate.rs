@@ -18,7 +18,7 @@
 mod common;
 
 use polyprof_core::polyddg::prune::PruneMask;
-use polyprof_core::polyfold::pipeline::{fold_pipelined_pruned, PipelineConfig};
+use polyprof_core::polyfold::pipeline::{fold, PipelineConfig};
 use polyprof_core::polystatic::dataflow::StaticSummary;
 use polyprof_core::polystatic::deps::StaticDeps;
 use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
@@ -58,21 +58,20 @@ fn access_prune_byte_identity_at_k1_and_k4() {
             |i| deps.pruned_sites.contains(&i),
         ));
         let structure = structure_of(p);
-        for k in [1usize, 4] {
+        // K = 0 folds inline; K ∈ {1, 4} through the pipeline.
+        for k in [0usize, 1, 4] {
             let cfg = PipelineConfig {
                 fold_threads: k,
                 chunk_events: 64,
                 ..Default::default()
             };
-            let (base, _, _) = fold_pipelined_pruned(p, &structure, &cfg, None, None, None);
-            let (pruned, _, ev) = fold_pipelined_pruned(
-                p,
-                &structure,
-                &cfg,
-                None,
-                Some(Arc::clone(&mask)),
-                Some(Arc::clone(&deps) as _),
-            );
+            let (base, ..) = fold(p, &structure, &cfg, None).unwrap();
+            let pruned_cfg = PipelineConfig {
+                prune: Some(Arc::clone(&mask)),
+                synth: Some(Arc::clone(&deps) as _),
+                ..cfg
+            };
+            let (pruned, _, ev, _) = fold(p, &structure, &pruned_cfg, None).unwrap();
             assert!(ev.mem > 0, "{name} @K={k}: no memory events were pruned");
             assert_eq!(
                 base.canonical_text(),

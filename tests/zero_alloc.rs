@@ -7,12 +7,26 @@
 //! — the old `Box<[i64]>`-per-writer behavior — the longer run would
 //! allocate tens of thousands more. The assertion gives a small fixed slack
 //! for incidental growth (e.g. a `HashMap` resize crossing a threshold).
+//!
+//! The counter is process-wide, so the tests take [`SERIAL`] for their
+//! whole measurement: the default harness would otherwise run them on
+//! concurrent threads and count one test's allocations in the other's
+//! window.
 
 use polyir::build::ProgramBuilder;
 use polyir::Program;
 use polyprof_core::{polycfg, polyddg, polyfold, polyvm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by each test for its whole measurement.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next test still measures cleanly.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 struct CountingAlloc;
 
@@ -68,6 +82,7 @@ fn profile_counting(prog: &Program) -> (u64, u64) {
 
 #[test]
 fn steady_state_profiling_does_not_allocate_per_event() {
+    let _serial = serialize();
     let short_n = 500i64;
     let long_n = 5000i64;
     // Warm caches/allocator so one-time lazy init doesn't skew the counts.
@@ -90,7 +105,7 @@ fn steady_state_profiling_does_not_allocate_per_event() {
 /// whole staged pass 2 — all threads share the one global allocator, so the
 /// count covers every stage and shard.
 fn profile_counting_pipelined(prog: &Program) -> (u64, u64) {
-    use polyprof_core::polyfold::pipeline::{fold_pipelined, PipelineConfig};
+    use polyprof_core::polyfold::pipeline::{fold, PipelineConfig};
     let mut rec = polycfg::StructureRecorder::new();
     polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
     let structure = polycfg::StaticStructure::analyze(prog, rec);
@@ -100,7 +115,7 @@ fn profile_counting_pipelined(prog: &Program) -> (u64, u64) {
         ..Default::default()
     };
     let before = ALLOCS.load(Ordering::Relaxed);
-    let (ddg, _interner) = fold_pipelined(prog, &structure, &cfg);
+    let (ddg, ..) = fold(prog, &structure, &cfg, None).expect("pass 2");
     let after = ALLOCS.load(Ordering::Relaxed);
     (ddg.total_ops, after - before)
 }
@@ -114,6 +129,7 @@ fn profile_counting_pipelined(prog: &Program) -> (u64, u64) {
 /// magnitude below that while absorbing scheduler-dependent pool misses.
 #[test]
 fn pipelined_folding_allocation_bounded_by_chunks_not_events() {
+    let _serial = serialize();
     let short_n = 500i64;
     let long_n = 5000i64;
     let _ = profile_counting_pipelined(&kernel(short_n));
