@@ -43,14 +43,16 @@ impl RatAffine {
         self.coeffs.iter().all(|a| a.is_integer()) && self.c.is_integer()
     }
 
-    /// Convert to an integer [`polylib::AffineExpr`], if integral.
+    /// Convert to an integer [`polylib::AffineExpr`], if integral with
+    /// every coefficient and the constant inside `i64`.
     pub fn to_affine_expr(&self) -> Option<polylib::AffineExpr> {
         if !self.is_integral() {
             return None;
         }
+        let narrow = |a: &Rat| i64::try_from(a.num()).ok();
         Some(polylib::AffineExpr::new(
-            self.coeffs.iter().map(|a| a.num() as i64).collect(),
-            self.c.num() as i64,
+            self.coeffs.iter().map(narrow).collect::<Option<_>>()?,
+            narrow(&self.c)?,
         ))
     }
 
@@ -412,6 +414,30 @@ mod tests {
         assert_eq!(a.coeffs, vec![Rat::new(1, 2)]);
         assert!(!a.is_integral());
         assert!(a.to_affine_expr().is_none());
+    }
+
+    /// An integral coefficient above `i64::MAX` has no `AffineExpr`: the
+    /// conversion says so instead of truncating the numerator.
+    #[test]
+    fn oversized_coefficient_has_no_affine_expr() {
+        let big = Rat::int(i64::MAX as i128 + 1);
+        let a = RatAffine {
+            coeffs: vec![big, Rat::ONE],
+            c: Rat::ZERO,
+        };
+        assert!(a.is_integral());
+        assert!(a.to_affine_expr().is_none());
+        let b = RatAffine {
+            coeffs: vec![Rat::ONE],
+            c: big,
+        };
+        assert!(b.to_affine_expr().is_none());
+        let fits = RatAffine {
+            coeffs: vec![Rat::int(i64::MAX as i128)],
+            c: Rat::int(i64::MIN as i128),
+        };
+        let e = fits.to_affine_expr().expect("i64-sized");
+        assert_eq!((e.coeffs[0], e.c), (i64::MAX, i64::MIN));
     }
 
     #[test]

@@ -365,7 +365,8 @@ impl StreamFolder {
 }
 
 /// Lift a bound over the first `k` variables to a `dim`-variable integer
-/// affine expression (None if the fit has fractional coefficients).
+/// affine expression (None if the fit has fractional coefficients or one
+/// outside `i64`; the caller then falls back to the box bound).
 fn rat_bound_to_expr(a: &RatAffine, k: usize, dim: usize) -> Option<AffineExpr> {
     if !a.is_integral() {
         return None;
@@ -373,9 +374,9 @@ fn rat_bound_to_expr(a: &RatAffine, k: usize, dim: usize) -> Option<AffineExpr> 
     let mut coeffs = vec![0i64; dim];
     for (i, c) in a.coeffs.iter().enumerate() {
         debug_assert!(i < k);
-        coeffs[i] = c.num() as i64;
+        coeffs[i] = i64::try_from(c.num()).ok()?;
     }
-    Some(AffineExpr::new(coeffs, a.c.num() as i64))
+    Some(AffineExpr::new(coeffs, i64::try_from(a.c.num()).ok()?))
 }
 
 #[cfg(test)]
@@ -564,6 +565,30 @@ mod tests {
         assert!(r.domain.poly.contains(&[3, 7]));
         assert_eq!(r.domain.poly.count_points(10), Some(1));
         assert!(r.labels.is_affine());
+    }
+
+    /// A bound coefficient above `i64::MAX` is not lifted (finalize then
+    /// falls back to the box bound) instead of being truncated.
+    #[test]
+    fn oversized_bound_coefficient_is_not_lifted() {
+        use polylib::Rat;
+        let big = Rat::int(i64::MAX as i128 + 1);
+        let a = RatAffine {
+            coeffs: vec![big],
+            c: Rat::ZERO,
+        };
+        assert!(rat_bound_to_expr(&a, 1, 2).is_none());
+        let b = RatAffine {
+            coeffs: vec![Rat::ONE],
+            c: big,
+        };
+        assert!(rat_bound_to_expr(&b, 1, 2).is_none());
+        let fits = RatAffine {
+            coeffs: vec![Rat::int(2)],
+            c: Rat::int(-3),
+        };
+        let e = rat_bound_to_expr(&fits, 1, 2).expect("i64-sized");
+        assert_eq!((e.coeffs, e.c), (vec![2, 0], -3));
     }
 
     /// Coarse mode is a sound superset: same count (dedup retained), box

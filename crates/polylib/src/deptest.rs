@@ -138,12 +138,13 @@ fn distance_bounds(p: &Polyhedron, n: usize) -> DepRelation {
     let distance = (0..n)
         .map(|d| {
             let delta = AffineExpr::var(2 * n, n + d).sub(&AffineExpr::var(2 * n, d));
-            let lo = match p.min_of(&delta) {
+            let (min, max) = p.bounds_of(&delta);
+            let lo = match min {
                 Bound::Finite(r) => Some(r.ceil() as i64),
                 Bound::Empty => Some(0),
                 Bound::Unbounded => None,
             };
-            let hi = match p.max_of(&delta) {
+            let hi = match max {
                 Bound::Finite(r) => Some(r.floor() as i64),
                 Bound::Empty => Some(0),
                 Bound::Unbounded => None,

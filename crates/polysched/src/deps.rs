@@ -77,35 +77,41 @@ impl DepDist {
 
 /// Bound `x_d − f(x)` over `domain`, where `f` has rational coefficients:
 /// scale by the coefficient LCM so polylib sees integers, then divide back.
+/// A scaled coefficient outside `i64` gives the unknown range, which is
+/// conservative (the dependence is carried wherever it is shared).
 fn bound_distance(domain: &Polyhedron, d: usize, f: &RatAffine) -> DistRange {
-    let dim = domain.dim();
-    // LCM of denominators.
+    let Some((e, l)) = scaled_distance(domain.dim(), d, f) else {
+        return DistRange {
+            min: None,
+            max: None,
+        };
+    };
+    let end = |b| match b {
+        Bound::Finite(r) => Some(r / Rat::int(l)),
+        Bound::Empty => Some(Rat::ZERO),
+        Bound::Unbounded => None,
+    };
+    let (min, max) = domain.bounds_of(&e);
+    DistRange {
+        min: end(min),
+        max: end(max),
+    }
+}
+
+/// `e = L·x_d − L·f(x)` over `dim` variables and the LCM `L` of `f`'s
+/// denominators; None when `L` or a coefficient of `e` leaves `i64`.
+fn scaled_distance(dim: usize, d: usize, f: &RatAffine) -> Option<(AffineExpr, i128)> {
     let mut l: i128 = 1;
     for c in f.coeffs.iter().chain(std::iter::once(&f.c)) {
-        let den = c.den();
-        let g = polylib::rat::gcd(l, den);
-        l = l / g * den;
+        l = (l / polylib::rat::gcd(l, c.den())).checked_mul(c.den())?;
     }
-    // e = L·x_d − L·f(x)
+    let scaled = |c: &Rat| i64::try_from(c.num().checked_mul(l / c.den())?).ok();
     let mut coeffs = vec![0i64; dim];
-    coeffs[d] += l as i64;
-    for (i, c) in f.coeffs.iter().enumerate() {
-        if i < dim {
-            coeffs[i] -= (c.num() * l / c.den()) as i64;
-        }
+    coeffs[d] = i64::try_from(l).ok()?;
+    for (i, c) in f.coeffs.iter().enumerate().take(dim) {
+        coeffs[i] = coeffs[i].checked_sub(scaled(c)?)?;
     }
-    let e = AffineExpr::new(coeffs, -((f.c.num() * l / f.c.den()) as i64));
-    let min = match domain.min_of(&e) {
-        Bound::Finite(r) => Some(r / Rat::int(l)),
-        Bound::Empty => Some(Rat::ZERO),
-        Bound::Unbounded => None,
-    };
-    let max = match domain.max_of(&e) {
-        Bound::Finite(r) => Some(r / Rat::int(l)),
-        Bound::Empty => Some(Rat::ZERO),
-        Bound::Unbounded => None,
-    };
-    DistRange { min, max }
+    Some((AffineExpr::new(coeffs, scaled(&f.c)?.checked_neg()?), l))
 }
 
 /// Analyze every dependence of the folded DDG against the nest forest.
@@ -287,6 +293,35 @@ mod tests {
             .collect();
         assert!(!cross.is_empty(), "init→stencil deps share no loop");
         assert!(cross.iter().all(|d| d.carried == Carried::LoopIndependent));
+    }
+
+    /// A producer-map coefficient above `i64::MAX` cannot be bounded in
+    /// polylib's `i64` forms: the distance is unknown, not a wrapped value.
+    #[test]
+    fn oversized_coefficient_gives_unknown_distance() {
+        let mut domain = Polyhedron::universe(2);
+        let lo = AffineExpr::constant(2, 0);
+        let hi = AffineExpr::constant(2, 7);
+        domain.add_var_bounds(1, &lo, &hi);
+        let huge = RatAffine {
+            coeffs: vec![Rat::ZERO, Rat::int(i64::MAX as i128 + 1)],
+            c: Rat::ZERO,
+        };
+        let r = bound_distance(&domain, 1, &huge);
+        assert_eq!(
+            r,
+            DistRange {
+                min: None,
+                max: None
+            }
+        );
+        // The same map with an i64-sized coefficient is bounded exactly.
+        let shift = RatAffine {
+            coeffs: vec![Rat::ZERO, Rat::ONE],
+            c: Rat::int(-1),
+        };
+        let r = bound_distance(&domain, 1, &shift);
+        assert_eq!((r.min, r.max), (Some(Rat::ONE), Some(Rat::ONE)));
     }
 
     /// 2-D wavefront a[i][j] = a[i-1][j] + a[i][j-1]: two flow deps with
